@@ -32,7 +32,7 @@ struct LoadResult {
   std::uint64_t ok = 0;
   std::uint64_t bad = 0;
   double wall_s = 0.0;
-  LatencyHistogram::Snapshot latency;
+  obs::LatencyHistogram::Snapshot latency;
 };
 
 LoadResult drive(GraphRegistry& registry, const std::string& graph,

@@ -64,8 +64,7 @@ CcResult cc_bfs(const Graph& g) {
 
 CcResult cc_shiloach_vishkin(const Graph& g, const ParallelCcOptions& opts) {
   const VertexId n = g.num_vertices();
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
+  const std::size_t p = threads_or_hardware(opts.num_threads);
   if (n == 0) return {};
 
   auto labels = std::make_unique<std::atomic<VertexId>[]>(n);
@@ -131,8 +130,7 @@ CcResult cc_shiloach_vishkin(const Graph& g, const ParallelCcOptions& opts) {
 
 CcResult cc_label_propagation(const Graph& g, const ParallelCcOptions& opts) {
   const VertexId n = g.num_vertices();
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
+  const std::size_t p = threads_or_hardware(opts.num_threads);
   if (n == 0) return {};
 
   auto labels = std::make_unique<std::atomic<VertexId>[]>(n);
@@ -183,8 +181,7 @@ CcResult cc_label_propagation(const Graph& g, const ParallelCcOptions& opts) {
 CcResult cc_random_mate(const Graph& g, const ParallelCcOptions& opts,
                         std::uint64_t seed) {
   const VertexId n = g.num_vertices();
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
+  const std::size_t p = threads_or_hardware(opts.num_threads);
   if (n == 0) return {};
 
   auto labels = std::make_unique<std::atomic<VertexId>[]>(n);
@@ -274,8 +271,7 @@ CcResult cc_random_mate(const Graph& g, const ParallelCcOptions& opts,
 
 CcResult cc_rem_union(const Graph& g, const ParallelCcOptions& opts) {
   const VertexId n = g.num_vertices();
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
+  const std::size_t p = threads_or_hardware(opts.num_threads);
   if (n == 0) return {};
 
   auto parent = std::make_unique<std::atomic<VertexId>[]>(n);

@@ -9,76 +9,49 @@ namespace smpst {
 
 const std::vector<AlgorithmSpec>& algorithms() {
   static const std::vector<AlgorithmSpec> kAlgorithms = {
-      {"bfs", "sequential breadth-first traversal (paper's baseline)", false},
-      {"dfs", "sequential depth-first traversal", false},
-      {"bader-cong", "stub tree + work-stealing traversal (the paper)", true},
-      {"sv", "Shiloach-Vishkin, election grafting", true},
-      {"sv-lock", "Shiloach-Vishkin, lock grafting", true},
-      {"hcs", "Hirschberg-Chandra-Sarwate, min-neighbour hooking", true},
-      {"parallel-bfs", "level-synchronous parallel BFS (modern baseline)",
+      {"bfs", "sequential breadth-first traversal (paper's baseline)", false,
        true},
+      {"dfs", "sequential depth-first traversal", false, false},
+      {"bader-cong", "stub tree + work-stealing traversal (the paper)", true,
+       true},
+      {"sv", "Shiloach-Vishkin, election grafting", true, true},
+      {"sv-lock", "Shiloach-Vishkin, lock grafting", true, true},
+      {"hcs", "Hirschberg-Chandra-Sarwate, min-neighbour hooking", true,
+       false},
+      {"parallel-bfs", "level-synchronous parallel BFS (modern baseline)",
+       true, true},
   };
   return kAlgorithms;
 }
 
-bool is_algorithm(const std::string& name) {
+const AlgorithmSpec* find_algorithm(const std::string& name) {
   for (const auto& a : algorithms()) {
-    if (a.name == name) return true;
+    if (a.name == name) return &a;
   }
-  return false;
+  return nullptr;
 }
 
-SpanningForest run_algorithm(const std::string& name, const Graph& g,
-                             ThreadPool& pool, std::uint64_t seed) {
-  RunOptions opts;
-  opts.seed = seed;
-  return run_algorithm(name, g, pool, opts);
-}
-
-SpanningForest run_algorithm(const std::string& name, const Graph& g,
-                             ThreadPool& pool, const RunOptions& run) {
-  if (name == "bfs") return bfs_spanning_tree(g, 0, run.cancel);
-  if (name == "dfs") return dfs_spanning_tree(g, 0, run.cancel);
-  if (name == "bader-cong") {
-    BaderCongOptions opts;
-    opts.seed = run.seed;
-    opts.cancel = run.cancel;
-    opts.stats = run.stats;
-    return bader_cong_spanning_tree(g, pool, opts);
-  }
-  if (name == "sv") {
-    SvOptions opts;
-    opts.cancel = run.cancel;
-    return sv_spanning_tree(g, pool, opts);
-  }
-  if (name == "sv-lock") {
-    SvOptions opts;
-    opts.use_locks = true;
-    opts.cancel = run.cancel;
-    return sv_spanning_tree(g, pool, opts);
-  }
-  if (name == "hcs") {
-    HcsOptions opts;
-    opts.cancel = run.cancel;
-    return hcs_spanning_tree(g, pool, opts);
-  }
-  if (name == "parallel-bfs") {
-    ParallelBfsOptions opts;
-    opts.cancel = run.cancel;
-    return parallel_bfs_spanning_tree(g, pool, opts);
-  }
-  throw std::invalid_argument("unknown algorithm: " + name);
+bool is_algorithm(const std::string& name) {
+  return find_algorithm(name) != nullptr;
 }
 
 bool algorithm_supports_blocked(const std::string& name) {
-  return name == "bfs" || name == "bader-cong" || name == "sv" ||
-         name == "sv-lock" || name == "parallel-bfs";
+  const AlgorithmSpec* spec = find_algorithm(name);
+  return spec != nullptr && spec->blocked;
 }
 
-SpanningForest run_algorithm(const std::string& name,
-                             const storage::BlockedGraph& g, ThreadPool& pool,
-                             const RunOptions& run) {
+template <storage::GraphStorage GS>
+SpanningForest run_algorithm(const std::string& name, const GS& g,
+                             ThreadPool& pool, const RunOptions& run) {
   if (name == "bfs") return bfs_spanning_tree(g, 0, run.cancel);
+  if constexpr (storage::is_resident_v<GS>) {
+    if (name == "dfs") return dfs_spanning_tree(g, 0, run.cancel);
+    if (name == "hcs") {
+      HcsOptions opts;
+      opts.cancel = run.cancel;
+      return hcs_spanning_tree(g, pool, opts);
+    }
+  }
   if (name == "bader-cong") {
     BaderCongOptions opts;
     opts.seed = run.seed;
@@ -86,14 +59,9 @@ SpanningForest run_algorithm(const std::string& name,
     opts.stats = run.stats;
     return bader_cong_spanning_tree(g, pool, opts);
   }
-  if (name == "sv") {
+  if (name == "sv" || name == "sv-lock") {
     SvOptions opts;
-    opts.cancel = run.cancel;
-    return sv_spanning_tree(g, pool, opts);
-  }
-  if (name == "sv-lock") {
-    SvOptions opts;
-    opts.use_locks = true;
+    opts.use_locks = name == "sv-lock";
     opts.cancel = run.cancel;
     return sv_spanning_tree(g, pool, opts);
   }
@@ -102,11 +70,18 @@ SpanningForest run_algorithm(const std::string& name,
     opts.cancel = run.cancel;
     return parallel_bfs_spanning_tree(g, pool, opts);
   }
-  if (is_algorithm(name)) {
-    throw std::invalid_argument("algorithm \"" + name +
-                                "\" has no blocked-backend implementation");
-  }
-  throw std::invalid_argument("unknown algorithm: " + name);
+  // Only a registered name the backend cannot run (dfs and hcs over a
+  // BlockedGraph) or an unregistered one falls through.
+  throw std::invalid_argument(
+      is_algorithm(name)
+          ? "algorithm \"" + name + "\" has no blocked-backend implementation"
+          : "unknown algorithm: " + name);
 }
+
+template SpanningForest run_algorithm(const std::string&, const Graph&,
+                                      ThreadPool&, const RunOptions&);
+template SpanningForest run_algorithm(const std::string&,
+                                      const storage::BlockedGraph&,
+                                      ThreadPool&, const RunOptions&);
 
 }  // namespace smpst

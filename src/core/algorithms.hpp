@@ -23,18 +23,22 @@ struct AlgorithmSpec {
   std::string name;
   std::string description;
   bool parallel = false;
+  /// Runs over a storage::BlockedGraph as well as a Graph.
+  bool blocked = false;
 };
 
 /// Registered names: "bfs", "dfs" (sequential); "bader-cong", "sv",
-/// "sv-lock", "hcs", "parallel-bfs" (parallel).
+/// "sv-lock", "hcs", "parallel-bfs" (parallel). Every one but "dfs" and
+/// "hcs" also runs over a storage::BlockedGraph.
 const std::vector<AlgorithmSpec>& algorithms();
+
+/// The table entry named `name`, or nullptr.
+const AlgorithmSpec* find_algorithm(const std::string& name);
 
 bool is_algorithm(const std::string& name);
 
-/// Runs the named algorithm. Parallel algorithms use `pool`; sequential ones
-/// ignore it. Throws std::invalid_argument for unknown names.
-SpanningForest run_algorithm(const std::string& name, const Graph& g,
-                             ThreadPool& pool, std::uint64_t seed = 0x5eed);
+/// True when `name` can run over a BlockedGraph.
+bool algorithm_supports_blocked(const std::string& name);
 
 /// Per-run knobs threaded through to the algorithm's own options struct.
 struct RunOptions {
@@ -52,18 +56,13 @@ struct RunOptions {
   TraversalStats* stats = nullptr;
 };
 
-SpanningForest run_algorithm(const std::string& name, const Graph& g,
-                             ThreadPool& pool, const RunOptions& opts);
-
-/// Block-cached backend. Supports every spanning-tree kernel that has a
-/// blocked instantiation ("bfs", "bader-cong", "sv", "sv-lock",
-/// "parallel-bfs"); "dfs" and "hcs" throw std::invalid_argument — the
-/// service's degradation path (sequential BFS) covers blocked entries.
-SpanningForest run_algorithm(const std::string& name,
-                             const storage::BlockedGraph& g, ThreadPool& pool,
-                             const RunOptions& opts);
-
-/// True when `name` can run over a BlockedGraph.
-bool algorithm_supports_blocked(const std::string& name);
+/// Runs the named algorithm on either storage backend. Parallel algorithms
+/// use `pool`; sequential ones ignore it. Throws std::invalid_argument for
+/// unknown names, and over a BlockedGraph for the names
+/// algorithm_supports_blocked() rejects (the service degrades those to
+/// sequential BFS).
+template <storage::GraphStorage GS>
+SpanningForest run_algorithm(const std::string& name, const GS& g,
+                             ThreadPool& pool, const RunOptions& opts = {});
 
 }  // namespace smpst

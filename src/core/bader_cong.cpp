@@ -403,6 +403,8 @@ SpanningForest finish_with_sv(TraversalState<GS>& st, ThreadPool& pool,
   return orient_tree_edges(n, edges);
 }
 
+// Internal, so that the parallel region's lambda is too: see "Internal
+// bodies" in storage/graph_storage.hpp.
 template <storage::GraphStorage GS>
 SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
                                const BaderCongOptions& opts) {
@@ -525,31 +527,27 @@ SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
 
 }  // namespace
 
-SpanningForest bader_cong_spanning_tree(const Graph& g, ThreadPool& pool,
+template <storage::GraphStorage GS>
+SpanningForest bader_cong_spanning_tree(const GS& g, ThreadPool& pool,
                                         const BaderCongOptions& opts) {
   return bader_cong_impl(g, pool, opts);
 }
 
-SpanningForest bader_cong_spanning_tree(const storage::BlockedGraph& g,
-                                        ThreadPool& pool,
+template <storage::GraphStorage GS>
+SpanningForest bader_cong_spanning_tree(const GS& g,
                                         const BaderCongOptions& opts) {
-  return bader_cong_impl(g, pool, opts);
-}
-
-SpanningForest bader_cong_spanning_tree(const Graph& g,
-                                        const BaderCongOptions& opts) {
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
-  ThreadPool pool(p);
+  ThreadPool pool(threads_or_hardware(opts.num_threads));
   return bader_cong_spanning_tree(g, pool, opts);
 }
 
-SpanningForest bader_cong_spanning_tree(const storage::BlockedGraph& g,
-                                        const BaderCongOptions& opts) {
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
-  ThreadPool pool(p);
-  return bader_cong_spanning_tree(g, pool, opts);
-}
+template SpanningForest bader_cong_spanning_tree(const Graph&, ThreadPool&,
+                                                 const BaderCongOptions&);
+template SpanningForest bader_cong_spanning_tree(const storage::BlockedGraph&,
+                                                 ThreadPool&,
+                                                 const BaderCongOptions&);
+template SpanningForest bader_cong_spanning_tree(const Graph&,
+                                                 const BaderCongOptions&);
+template SpanningForest bader_cong_spanning_tree(const storage::BlockedGraph&,
+                                                 const BaderCongOptions&);
 
 }  // namespace smpst

@@ -27,11 +27,7 @@
 #include "core/cancellation.hpp"
 #include "core/instrumentation.hpp"
 #include "core/spanning_forest.hpp"
-#include "graph/graph.hpp"
-
-namespace smpst::storage {
-class BlockedGraph;
-}  // namespace smpst::storage
+#include "storage/graph_storage.hpp"
 
 namespace smpst {
 
@@ -78,21 +74,17 @@ struct BaderCongOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Computes a spanning forest of g with the Bader–Cong SMP algorithm.
-SpanningForest bader_cong_spanning_tree(const Graph& g,
-                                        const BaderCongOptions& opts = {});
-
-/// As above but reuses a caller-owned pool (pool.size() threads; benchmark
-/// loops avoid re-spawning threads per measurement).
-SpanningForest bader_cong_spanning_tree(const Graph& g, ThreadPool& pool,
+/// Computes a spanning forest of g with the Bader–Cong SMP algorithm on
+/// `pool` (pool.size() threads; benchmark loops reuse one pool instead of
+/// re-spawning threads per measurement). Over a storage::BlockedGraph it is
+/// the identical traversal — same phases, same stats, same fallback.
+template <storage::GraphStorage GS>
+SpanningForest bader_cong_spanning_tree(const GS& g, ThreadPool& pool,
                                         const BaderCongOptions& opts);
 
-/// Block-cached backend: the identical traversal over a disk-resident CSR
-/// (storage/blocked_graph.hpp) — same phases, same stats, same fallback.
-SpanningForest bader_cong_spanning_tree(const storage::BlockedGraph& g,
+/// As above on a fresh pool of opts.num_threads workers.
+template <storage::GraphStorage GS>
+SpanningForest bader_cong_spanning_tree(const GS& g,
                                         const BaderCongOptions& opts = {});
-SpanningForest bader_cong_spanning_tree(const storage::BlockedGraph& g,
-                                        ThreadPool& pool,
-                                        const BaderCongOptions& opts);
 
 }  // namespace smpst

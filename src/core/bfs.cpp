@@ -6,14 +6,12 @@
 
 namespace smpst {
 
-namespace {
-
 // Templated over the storage backend (storage/graph_storage.hpp): the Graph
 // instantiation is byte-for-byte the pre-template sequential baseline; the
 // BlockedGraph one runs the same loop over pinned block-backed spans.
 template <storage::GraphStorage GS>
-SpanningForest bfs_spanning_tree_impl(const GS& g, VertexId source,
-                                      const CancelToken* cancel) {
+SpanningForest bfs_spanning_tree(const GS& g, VertexId source,
+                                 const CancelToken* cancel) {
   const VertexId n = g.num_vertices();
   SMPST_CHECK(source < n || n == 0, "bfs_spanning_tree: source out of range");
 
@@ -48,17 +46,10 @@ SpanningForest bfs_spanning_tree_impl(const GS& g, VertexId source,
   return forest;
 }
 
-}  // namespace
-
-SpanningForest bfs_spanning_tree(const Graph& g, VertexId source,
-                                 const CancelToken* cancel) {
-  return bfs_spanning_tree_impl(g, source, cancel);
-}
-
-SpanningForest bfs_spanning_tree(const storage::BlockedGraph& g,
-                                 VertexId source, const CancelToken* cancel) {
-  return bfs_spanning_tree_impl(g, source, cancel);
-}
+template SpanningForest bfs_spanning_tree(const Graph&, VertexId,
+                                          const CancelToken*);
+template SpanningForest bfs_spanning_tree(const storage::BlockedGraph&,
+                                          VertexId, const CancelToken*);
 
 std::vector<VertexId> bfs_levels(const Graph& g, VertexId source) {
   const VertexId n = g.num_vertices();

@@ -6,20 +6,16 @@
 #include "core/cancellation.hpp"
 #include "core/spanning_forest.hpp"
 #include "graph/graph.hpp"
-
-namespace smpst::storage {
-class BlockedGraph;
-}  // namespace smpst::storage
+#include "storage/graph_storage.hpp"
 
 namespace smpst {
 
 /// BFS spanning forest over all components, starting from `source` and then
 /// from every still-unvisited vertex in id order. A non-null `cancel` token
 /// is polled every few thousand expansions; expiry throws CancelledError.
-SpanningForest bfs_spanning_tree(const Graph& g, VertexId source = 0,
-                                 const CancelToken* cancel = nullptr);
-SpanningForest bfs_spanning_tree(const storage::BlockedGraph& g,
-                                 VertexId source = 0,
+/// Instantiated for Graph and storage::BlockedGraph.
+template <storage::GraphStorage GS>
+SpanningForest bfs_spanning_tree(const GS& g, VertexId source = 0,
                                  const CancelToken* cancel = nullptr);
 
 /// BFS levels (distance from source) over source's component only;

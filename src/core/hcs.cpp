@@ -184,9 +184,7 @@ SpanningForest hcs_spanning_tree(const Graph& g, ThreadPool& pool,
 }
 
 SpanningForest hcs_spanning_tree(const Graph& g, const HcsOptions& opts) {
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
-  ThreadPool pool(p);
+  ThreadPool pool(threads_or_hardware(opts.num_threads));
   return hcs_spanning_tree(g, pool, opts);
 }
 

@@ -20,6 +20,25 @@ namespace smpst {
 
 namespace {
 
+/// push→pull requires frontier_edges * kAlpha > unexplored_edges, i.e. the
+/// frontier's edges must exceed 1/kAlpha of the unexplored edges (Beamer's
+/// alpha; larger = pulls more eagerly). Beamer's classic 15 assumes a pull
+/// level is nearly free; ours costs an O(n/p) shard scan plus two barriers
+/// regardless of frontier size, so the frontier must dominate the remaining
+/// work (measured: medium-diameter families like geo-flat peak at ~0.43 of
+/// unexplored and lose in pull, while random-nlogn's big levels reach
+/// 0.61-1.0 and win ~2x).
+constexpr double kAlpha = 2.0;
+/// Pull also requires (entering and staying) frontier_size * kBeta >= n: the
+/// whole-shard scan only pays off when a decent fraction of all vertices can
+/// early-exit it. Larger kBeta = pulls on smaller frontiers.
+constexpr double kBeta = 18.0;
+/// Absolute floor on frontier_edges before pull is considered: keeps
+/// high-diameter trickles (a chain's 2-edge frontier near exhaustion, where
+/// unexplored_edges → 0 makes the kAlpha ratio meaningless) from ever paying
+/// a whole-shard scan.
+constexpr std::uint64_t kPullMinFrontierEdges = 1024;
+
 /// What worker 0 planned for the level the whole group expands next.
 enum class LevelKind : std::uint8_t { kPush, kPull, kStop };
 
@@ -191,12 +210,11 @@ bool choose_pull(const ParallelBfsOptions& opts, bool was_pull,
                  std::uint64_t frontier_edges, std::uint64_t unexplored_edges,
                  std::uint64_t n) {
   if (opts.direction == BfsDirection::kPushOnly) return false;
-  const bool frontier_big = static_cast<double>(frontier_vertices) *
-                                opts.beta >=
-                            static_cast<double>(n);
+  const bool frontier_big =
+      static_cast<double>(frontier_vertices) * kBeta >= static_cast<double>(n);
   if (was_pull) return frontier_big;
-  return frontier_big && frontier_edges >= opts.pull_min_frontier_edges &&
-         static_cast<double>(frontier_edges) * opts.alpha >
+  return frontier_big && frontier_edges >= kPullMinFrontierEdges &&
+         static_cast<double>(frontier_edges) * kAlpha >
              static_cast<double>(unexplored_edges);
 }
 
@@ -332,6 +350,8 @@ void level_worker(BfsState<GS>& st, std::size_t tid, std::size_t grain,
   }
 }
 
+// Internal, so that the parallel region's lambda is too: see "Internal
+// bodies" in storage/graph_storage.hpp.
 template <storage::GraphStorage GS>
 SpanningForest parallel_bfs_impl(const GS& g, ThreadPool& pool,
                                  const ParallelBfsOptions& opts) {
@@ -364,31 +384,26 @@ SpanningForest parallel_bfs_impl(const GS& g, ThreadPool& pool,
 
 }  // namespace
 
-SpanningForest parallel_bfs_spanning_tree(const Graph& g, ThreadPool& pool,
+template <storage::GraphStorage GS>
+SpanningForest parallel_bfs_spanning_tree(const GS& g, ThreadPool& pool,
                                           const ParallelBfsOptions& opts) {
   return parallel_bfs_impl(g, pool, opts);
 }
 
-SpanningForest parallel_bfs_spanning_tree(const storage::BlockedGraph& g,
-                                          ThreadPool& pool,
+template <storage::GraphStorage GS>
+SpanningForest parallel_bfs_spanning_tree(const GS& g,
                                           const ParallelBfsOptions& opts) {
-  return parallel_bfs_impl(g, pool, opts);
-}
-
-SpanningForest parallel_bfs_spanning_tree(const Graph& g,
-                                          const ParallelBfsOptions& opts) {
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
-  ThreadPool pool(p);
+  ThreadPool pool(threads_or_hardware(opts.num_threads));
   return parallel_bfs_spanning_tree(g, pool, opts);
 }
 
-SpanningForest parallel_bfs_spanning_tree(const storage::BlockedGraph& g,
-                                          const ParallelBfsOptions& opts) {
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
-  ThreadPool pool(p);
-  return parallel_bfs_spanning_tree(g, pool, opts);
-}
+template SpanningForest parallel_bfs_spanning_tree(const Graph&, ThreadPool&,
+                                                   const ParallelBfsOptions&);
+template SpanningForest parallel_bfs_spanning_tree(
+    const storage::BlockedGraph&, ThreadPool&, const ParallelBfsOptions&);
+template SpanningForest parallel_bfs_spanning_tree(const Graph&,
+                                                   const ParallelBfsOptions&);
+template SpanningForest parallel_bfs_spanning_tree(
+    const storage::BlockedGraph&, const ParallelBfsOptions&);
 
 }  // namespace smpst

@@ -41,11 +41,7 @@
 #include "core/cancellation.hpp"
 #include "core/instrumentation.hpp"
 #include "core/spanning_forest.hpp"
-#include "graph/graph.hpp"
-
-namespace smpst::storage {
-class BlockedGraph;
-}  // namespace smpst::storage
+#include "storage/graph_storage.hpp"
 
 namespace smpst {
 
@@ -81,38 +77,17 @@ struct ParallelBfsOptions {
   const CancelToken* cancel = nullptr;
 
   BfsDirection direction = BfsDirection::kAuto;
-
-  /// push→pull requires frontier_edges * alpha > unexplored_edges, i.e. the
-  /// frontier's edges must exceed 1/alpha of the unexplored edges (Beamer's
-  /// alpha; larger = pulls more eagerly). Beamer's classic 15 assumes a pull
-  /// level is nearly free; ours costs an O(n/p) shard scan plus two barriers
-  /// regardless of frontier size, so the default demands the frontier
-  /// dominate the remaining work (measured: medium-diameter families like
-  /// geo-flat peak at ~0.43 of unexplored and lose in pull, while
-  /// random-nlogn's big levels reach 0.61-1.0 and win ~2x).
-  double alpha = 2.0;
-  /// Pull also requires (entering and staying) frontier_size * beta >= n:
-  /// the whole-shard scan only pays off when a decent fraction of all
-  /// vertices can early-exit it. Larger beta = pulls on smaller frontiers.
-  double beta = 18.0;
-  /// Absolute floor on frontier_edges before pull is considered: keeps
-  /// high-diameter trickles (a chain's 2-edge frontier near exhaustion,
-  /// where unexplored_edges → 0 makes the alpha ratio meaningless) from ever
-  /// paying a whole-shard scan.
-  std::uint64_t pull_min_frontier_edges = 1024;
 };
 
-/// Spanning forest via level-synchronous parallel BFS over all components.
-/// The BlockedGraph overloads run the identical level loop over the
-/// block-cached backend (storage/graph_storage.hpp).
-SpanningForest parallel_bfs_spanning_tree(const Graph& g,
-                                          const ParallelBfsOptions& opts = {});
-SpanningForest parallel_bfs_spanning_tree(const Graph& g, ThreadPool& pool,
+/// Spanning forest via level-synchronous parallel BFS over all components,
+/// on either storage backend (storage/graph_storage.hpp).
+template <storage::GraphStorage GS>
+SpanningForest parallel_bfs_spanning_tree(const GS& g, ThreadPool& pool,
                                           const ParallelBfsOptions& opts);
-SpanningForest parallel_bfs_spanning_tree(const storage::BlockedGraph& g,
+
+/// As above on a fresh pool of opts.num_threads workers.
+template <storage::GraphStorage GS>
+SpanningForest parallel_bfs_spanning_tree(const GS& g,
                                           const ParallelBfsOptions& opts = {});
-SpanningForest parallel_bfs_spanning_tree(const storage::BlockedGraph& g,
-                                          ThreadPool& pool,
-                                          const ParallelBfsOptions& opts);
 
 }  // namespace smpst

@@ -224,6 +224,8 @@ void sv_worker_locked(SvState& st, std::size_t tid, std::size_t p,
   if (tid == 0 && collect_stats) stats.barriers = st.barrier.episodes();
 }
 
+// Internal, so that the parallel region's lambda is too: see "Internal
+// bodies" in storage/graph_storage.hpp.
 template <storage::GraphStorage GS>
 std::vector<Edge> sv_tree_edges_impl(const GS& g, ThreadPool& pool,
                                      std::vector<VertexId> initial_labels,
@@ -260,9 +262,18 @@ std::vector<Edge> sv_tree_edges_impl(const GS& g, ThreadPool& pool,
   return result;
 }
 
+}  // namespace
+
 template <storage::GraphStorage GS>
-SpanningForest sv_spanning_tree_impl(const GS& g, ThreadPool& pool,
-                                     const SvOptions& opts) {
+std::vector<Edge> sv_tree_edges(const GS& g, ThreadPool& pool,
+                                std::vector<VertexId> initial_labels,
+                                const SvOptions& opts) {
+  return sv_tree_edges_impl(g, pool, std::move(initial_labels), opts);
+}
+
+template <storage::GraphStorage GS>
+SpanningForest sv_spanning_tree(const GS& g, ThreadPool& pool,
+                                const SvOptions& opts) {
   std::vector<VertexId> identity(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) identity[v] = v;
 
@@ -276,44 +287,24 @@ SpanningForest sv_spanning_tree_impl(const GS& g, ThreadPool& pool,
   return forest;
 }
 
-}  // namespace
-
-std::vector<Edge> sv_tree_edges(const Graph& g, ThreadPool& pool,
-                                std::vector<VertexId> initial_labels,
-                                const SvOptions& opts) {
-  return sv_tree_edges_impl(g, pool, std::move(initial_labels), opts);
-}
-
-std::vector<Edge> sv_tree_edges(const storage::BlockedGraph& g,
-                                ThreadPool& pool,
-                                std::vector<VertexId> initial_labels,
-                                const SvOptions& opts) {
-  return sv_tree_edges_impl(g, pool, std::move(initial_labels), opts);
-}
-
-SpanningForest sv_spanning_tree(const Graph& g, ThreadPool& pool,
-                                const SvOptions& opts) {
-  return sv_spanning_tree_impl(g, pool, opts);
-}
-
-SpanningForest sv_spanning_tree(const storage::BlockedGraph& g,
-                                ThreadPool& pool, const SvOptions& opts) {
-  return sv_spanning_tree_impl(g, pool, opts);
-}
-
-SpanningForest sv_spanning_tree(const Graph& g, const SvOptions& opts) {
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
-  ThreadPool pool(p);
+template <storage::GraphStorage GS>
+SpanningForest sv_spanning_tree(const GS& g, const SvOptions& opts) {
+  ThreadPool pool(threads_or_hardware(opts.num_threads));
   return sv_spanning_tree(g, pool, opts);
 }
 
-SpanningForest sv_spanning_tree(const storage::BlockedGraph& g,
-                                const SvOptions& opts) {
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
-  ThreadPool pool(p);
-  return sv_spanning_tree(g, pool, opts);
-}
+template std::vector<Edge> sv_tree_edges(const Graph&, ThreadPool&,
+                                         std::vector<VertexId>,
+                                         const SvOptions&);
+template std::vector<Edge> sv_tree_edges(const storage::BlockedGraph&,
+                                         ThreadPool&, std::vector<VertexId>,
+                                         const SvOptions&);
+template SpanningForest sv_spanning_tree(const Graph&, ThreadPool&,
+                                         const SvOptions&);
+template SpanningForest sv_spanning_tree(const storage::BlockedGraph&,
+                                         ThreadPool&, const SvOptions&);
+template SpanningForest sv_spanning_tree(const Graph&, const SvOptions&);
+template SpanningForest sv_spanning_tree(const storage::BlockedGraph&,
+                                         const SvOptions&);
 
 }  // namespace smpst

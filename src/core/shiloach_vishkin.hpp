@@ -22,11 +22,7 @@
 
 #include "core/instrumentation.hpp"
 #include "core/spanning_forest.hpp"
-#include "graph/graph.hpp"
-
-namespace smpst::storage {
-class BlockedGraph;
-}  // namespace smpst::storage
+#include "storage/graph_storage.hpp"
 
 namespace smpst {
 
@@ -43,16 +39,16 @@ struct SvOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Spanning forest via parallel Shiloach–Vishkin. The BlockedGraph overloads
-/// pay the block-cache I/O once (edge materialization); the rounds
+/// Spanning forest via parallel Shiloach–Vishkin. Over a BlockedGraph the
+/// block-cache I/O is paid once (edge materialization); the rounds
 /// themselves run over plain memory.
-SpanningForest sv_spanning_tree(const Graph& g, const SvOptions& opts = {});
-SpanningForest sv_spanning_tree(const Graph& g, ThreadPool& pool,
+template <storage::GraphStorage GS>
+SpanningForest sv_spanning_tree(const GS& g, ThreadPool& pool,
                                 const SvOptions& opts);
-SpanningForest sv_spanning_tree(const storage::BlockedGraph& g,
-                                const SvOptions& opts = {});
-SpanningForest sv_spanning_tree(const storage::BlockedGraph& g,
-                                ThreadPool& pool, const SvOptions& opts);
+
+/// As above on a fresh pool of opts.num_threads workers.
+template <storage::GraphStorage GS>
+SpanningForest sv_spanning_tree(const GS& g, const SvOptions& opts = {});
 
 /// Lower-level entry: runs SV from an arbitrary initial partition.
 /// `initial_labels[v]` must name the representative of v's current group and
@@ -60,11 +56,8 @@ SpanningForest sv_spanning_tree(const storage::BlockedGraph& g,
 /// stars); identity is the standard start. Returns only the *new* tree edges
 /// chosen to connect the groups — this is the merge entry point used by the
 /// traversal algorithm's starvation fallback.
-std::vector<Edge> sv_tree_edges(const Graph& g, ThreadPool& pool,
-                                std::vector<VertexId> initial_labels,
-                                const SvOptions& opts);
-std::vector<Edge> sv_tree_edges(const storage::BlockedGraph& g,
-                                ThreadPool& pool,
+template <storage::GraphStorage GS>
+std::vector<Edge> sv_tree_edges(const GS& g, ThreadPool& pool,
                                 std::vector<VertexId> initial_labels,
                                 const SvOptions& opts);
 

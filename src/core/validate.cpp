@@ -45,8 +45,11 @@ VertexId count_components(const GS& g) {
   return components;
 }
 
+}  // namespace
+
 template <storage::GraphStorage GS>
-ValidationReport validate_impl(const GS& g, const SpanningForest& forest) {
+ValidationReport validate_spanning_forest(const GS& g,
+                                          const SpanningForest& forest) {
   const VertexId n = g.num_vertices();
   if (forest.parent.size() != n) {
     return fail("forest size does not match graph");
@@ -125,16 +128,9 @@ ValidationReport validate_impl(const GS& g, const SpanningForest& forest) {
   return r;
 }
 
-}  // namespace
-
-ValidationReport validate_spanning_forest(const Graph& g,
-                                          const SpanningForest& forest) {
-  return validate_impl(g, forest);
-}
-
-ValidationReport validate_spanning_forest(const storage::BlockedGraph& g,
-                                          const SpanningForest& forest) {
-  return validate_impl(g, forest);
-}
+template ValidationReport validate_spanning_forest(const Graph&,
+                                                   const SpanningForest&);
+template ValidationReport validate_spanning_forest(
+    const storage::BlockedGraph&, const SpanningForest&);
 
 }  // namespace smpst

@@ -6,11 +6,7 @@
 #include <string>
 
 #include "core/spanning_forest.hpp"
-#include "graph/graph.hpp"
-
-namespace smpst::storage {
-class BlockedGraph;
-}  // namespace smpst::storage
+#include "storage/graph_storage.hpp"
 
 namespace smpst {
 
@@ -32,9 +28,9 @@ struct ValidationReport {
 ///  4. the forest has exactly one root per connected component of g and
 ///     both endpoints of every graph edge land in the same tree
 ///     (i.e. each tree spans its entire component).
-ValidationReport validate_spanning_forest(const Graph& g,
-                                          const SpanningForest& forest);
-ValidationReport validate_spanning_forest(const storage::BlockedGraph& g,
+/// Instantiated for Graph and storage::BlockedGraph.
+template <storage::GraphStorage GS>
+ValidationReport validate_spanning_forest(const GS& g,
                                           const SpanningForest& forest);
 
 }  // namespace smpst

@@ -41,8 +41,7 @@ bool edge_less(const std::vector<WeightedEdge>& edges, std::uint64_t a,
 std::vector<WeightedEdge> boruvka(const WeightedEdgeList& graph,
                                   const BoruvkaOptions& opts) {
   const VertexId n = graph.num_vertices;
-  const std::size_t p =
-      opts.num_threads != 0 ? opts.num_threads : hardware_threads();
+  const std::size_t p = threads_or_hardware(opts.num_threads);
   const auto& edges = graph.edges;
   if (n == 0) return {};
 

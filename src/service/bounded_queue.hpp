@@ -30,7 +30,7 @@ class BoundedQueue {
   /// the queue is full or closed.
   bool try_push(T&& item) {
     // Fault site before the item moves: a throw leaves `item` with the
-    // caller, who can resolve its promise. submit() relies on this.
+    // caller.
     SMPST_FAILPOINT("service.bounded_queue.push");
     {
       LockGuard<Mutex> lk(mutex_);
@@ -42,8 +42,11 @@ class BoundedQueue {
   }
 
   /// All-or-nothing bulk enqueue: either every item fits (and `items` is
-  /// moved from) or none is taken. Backs atomic batch admission.
+  /// moved from) or none is taken. Backs the executor's admission.
   bool try_push_all(std::vector<T>& items) {
+    // Fault site before the items move: a throw leaves them with the caller,
+    // who can still answer them. The executor's admission relies on this.
+    SMPST_FAILPOINT("service.bounded_queue.push");
     {
       LockGuard<Mutex> lk(mutex_);
       if (closed_ || items_.size() + items.size() > capacity_) return false;

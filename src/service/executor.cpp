@@ -1,6 +1,8 @@
 #include "service/executor.hpp"
 
 #include <algorithm>
+#include <future>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -38,8 +40,23 @@ ExecutorOptions sanitized(ExecutorOptions opts) {
   return opts;
 }
 
-bool is_sequential(const std::string& algorithm) {
-  return algorithm == "bfs" || algorithm == "dfs";
+/// The one delivery channel, for inline rejections and worker results alike.
+/// A throwing completion is contained: neither the submitter nor the worker
+/// (which owes the rest of the queue) may see it.
+void deliver(const QueryExecutor::Completion& done,
+             QueryResult result) noexcept {
+  try {
+    done(std::move(result));
+  } catch (...) {
+  }
+}
+
+/// A completion that fulfils a promise, and the promise's future.
+std::pair<QueryExecutor::Completion, std::future<QueryResult>> promised() {
+  auto promise = std::make_shared<std::promise<QueryResult>>();
+  auto future = promise->get_future();
+  return {[promise](QueryResult r) { promise->set_value(std::move(r)); },
+          std::move(future)};
 }
 
 }  // namespace
@@ -112,24 +129,7 @@ QueryExecutor::QueryExecutor(GraphRegistry& registry, ExecutorOptions opts)
 
 QueryExecutor::~QueryExecutor() { shutdown(); }
 
-void QueryExecutor::reject_inline(Item& item, std::string reason) {
-  rejected_.fetch_add(1, std::memory_order_relaxed);
-  QueryResult r;
-  r.status = QueryStatus::kRejected;
-  r.error = std::move(reason);
-  r.graph = item.req.graph;
-  r.algorithm = item.req.algorithm;
-  if (item.done) {
-    try {
-      item.done(r);
-    } catch (...) {
-      // A throwing completion must not break the submitter.
-    }
-  }
-  item.promise.set_value(std::move(r));
-}
-
-/// One accepted request fully completed (promise + completion delivered).
+/// One accepted request fully completed (its completion delivered).
 void QueryExecutor::finish_pending() {
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Empty critical section orders the notify after any drain() caller has
@@ -140,64 +140,13 @@ void QueryExecutor::finish_pending() {
   }
 }
 
-std::future<QueryResult> QueryExecutor::submit(SpanningTreeRequest req) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  Item item{std::move(req), {}, std::chrono::steady_clock::now(), {}, {}};
-  auto future = item.promise.get_future();
-  bool pushed = false;
-  std::string reject_reason = "request queue full";
-  // submit() must never throw and must always satisfy the future, even when
-  // the queue itself faults (failpoints, allocation failure).
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  try {
-    pushed = queue_.try_push(std::move(item));
-  } catch (const std::exception& e) {
-    reject_reason = std::string("admission failure: ") + e.what();
-  }
-  if (!pushed) {
-    reject_inline(item, std::move(reject_reason));
-    finish_pending();
-  } else {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return future;
-}
-
-void QueryExecutor::submit(SpanningTreeRequest req, Completion done) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  Item item{std::move(req), {}, std::chrono::steady_clock::now(),
-            std::move(done), {}};
-  bool pushed = false;
-  std::string reject_reason = "request queue full";
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  try {
-    pushed = queue_.try_push(std::move(item));
-  } catch (const std::exception& e) {
-    reject_reason = std::string("admission failure: ") + e.what();
-  }
-  if (!pushed) {
-    reject_inline(item, std::move(reject_reason));
-    finish_pending();
-  } else {
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-std::vector<std::future<QueryResult>> QueryExecutor::submit_batch(
-    std::vector<SpanningTreeRequest> reqs) {
-  submitted_.fetch_add(reqs.size(), std::memory_order_relaxed);
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<Item> items;
-  std::vector<std::future<QueryResult>> futures;
-  items.reserve(reqs.size());
-  futures.reserve(reqs.size());
-  for (auto& req : reqs) {
-    items.push_back(Item{std::move(req), {}, now, {}, {}});
-    futures.push_back(items.back().promise.get_future());
-  }
+/// The one admission body: queues every item or answers each one kRejected
+/// inline. It never throws, even when the queue itself faults (failpoints,
+/// allocation failure).
+void QueryExecutor::admit(std::vector<Item> items, std::string reject_reason) {
   const std::size_t count = items.size();
+  submitted_.fetch_add(count, std::memory_order_relaxed);
   bool pushed = false;
-  std::string reject_reason = "request queue cannot take the whole batch";
   pending_.fetch_add(count, std::memory_order_acq_rel);
   try {
     pushed = queue_.try_push_all(items);
@@ -205,14 +154,26 @@ std::vector<std::future<QueryResult>> QueryExecutor::submit_batch(
     reject_reason = std::string("admission failure: ") + e.what();
   }
   if (!pushed) {
+    rejected_.fetch_add(count, std::memory_order_relaxed);
     for (auto& item : items) {
-      reject_inline(item, reject_reason);
+      QueryResult r;
+      r.status = QueryStatus::kRejected;
+      r.error = reject_reason;
+      r.graph = item.req.graph;
+      r.algorithm = item.req.algorithm;
+      deliver(item.done, std::move(r));
       finish_pending();
     }
-    return futures;
+    return;
   }
   accepted_.fetch_add(count, std::memory_order_relaxed);
-  return futures;
+}
+
+void QueryExecutor::submit(SpanningTreeRequest req, Completion done) {
+  std::vector<Item> items;
+  items.push_back(Item{std::move(req), std::chrono::steady_clock::now(),
+                       std::move(done), {}});
+  admit(std::move(items), "request queue full");
 }
 
 void QueryExecutor::submit_batch(std::vector<SpanningTreeRequest> reqs,
@@ -220,31 +181,34 @@ void QueryExecutor::submit_batch(std::vector<SpanningTreeRequest> reqs,
   if (reqs.size() != dones.size()) {
     throw std::invalid_argument("submit_batch: one completion per request");
   }
-  submitted_.fetch_add(reqs.size(), std::memory_order_relaxed);
   const auto now = std::chrono::steady_clock::now();
   std::vector<Item> items;
   items.reserve(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    items.push_back(
-        Item{std::move(reqs[i]), {}, now, std::move(dones[i]), {}});
+    items.push_back(Item{std::move(reqs[i]), now, std::move(dones[i]), {}});
   }
-  const std::size_t count = items.size();
-  bool pushed = false;
-  std::string reject_reason = "request queue cannot take the whole batch";
-  pending_.fetch_add(count, std::memory_order_acq_rel);
-  try {
-    pushed = queue_.try_push_all(items);
-  } catch (const std::exception& e) {
-    reject_reason = std::string("admission failure: ") + e.what();
+  admit(std::move(items), "request queue cannot take the whole batch");
+}
+
+std::future<QueryResult> QueryExecutor::submit(SpanningTreeRequest req) {
+  auto [done, future] = promised();
+  submit(std::move(req), std::move(done));
+  return std::move(future);
+}
+
+std::vector<std::future<QueryResult>> QueryExecutor::submit_batch(
+    std::vector<SpanningTreeRequest> reqs) {
+  std::vector<Completion> dones;
+  std::vector<std::future<QueryResult>> futures;
+  dones.reserve(reqs.size());
+  futures.reserve(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    auto [done, future] = promised();
+    dones.push_back(std::move(done));
+    futures.push_back(std::move(future));
   }
-  if (!pushed) {
-    for (auto& item : items) {
-      reject_inline(item, reject_reason);
-      finish_pending();
-    }
-    return;
-  }
-  accepted_.fetch_add(count, std::memory_order_relaxed);
+  submit_batch(std::move(reqs), std::move(dones));
+  return futures;
 }
 
 bool QueryExecutor::submit_task(std::function<void()> task) {
@@ -392,25 +356,23 @@ void QueryExecutor::worker_loop(std::size_t slot) {
     m_queries.add(1);
     m_inflight.add(1);
     // Containment boundary: no exception may escape the worker thread (it
-    // would std::terminate the process) and the promise must always be
-    // satisfied with a typed outcome.
+    // would std::terminate the process) and the completion must always get
+    // a typed outcome.
     QueryResult result;
+    std::string failure;
     try {
       SMPST_FAILPOINT("service.executor.dequeue");
       result = execute(item, *pools_[slot], slot);
       SMPST_FAILPOINT("service.executor.respond");
     } catch (const std::exception& e) {
-      result = QueryResult{};
-      result.status = QueryStatus::kFailed;
-      result.error = std::string("worker exception: ") + e.what();
-      result.graph = item.req.graph;
-      result.algorithm = item.req.algorithm;
-      result.total_ms =
-          ms_between(item.enqueued, std::chrono::steady_clock::now());
+      failure = std::string("worker exception: ") + e.what();
     } catch (...) {
+      failure = "worker exception of unknown type";
+    }
+    if (!failure.empty()) {
       result = QueryResult{};
       result.status = QueryStatus::kFailed;
-      result.error = "worker exception of unknown type";
+      result.error = std::move(failure);
       result.graph = item.req.graph;
       result.algorithm = item.req.algorithm;
       result.total_ms =
@@ -441,19 +403,7 @@ void QueryExecutor::worker_loop(std::size_t slot) {
     latency_.record_ms(result.total_ms);
     m_latency.record_ms(result.total_ms);
     m_inflight.add(-1);
-    if (item.done) {
-      // Before the promise: set_value moves the result out. A completion that
-      // throws is contained here — the worker owes the rest of the queue.
-      try {
-        item.done(result);
-      } catch (...) {
-      }
-    }
-    try {
-      item.promise.set_value(std::move(result));
-    } catch (const std::exception&) {
-      // Future abandoned (promise already satisfied or moved); nothing to do.
-    }
+    deliver(item.done, std::move(result));
     finish_pending();
   }
 }
@@ -472,16 +422,17 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
   const auto deadline =
       item.enqueued + std::chrono::milliseconds(has_deadline ? req.timeout_ms
                                                              : 0);
-  auto finish = [&](QueryStatus status, std::string error) -> QueryResult& {
+  auto finish = [&](QueryStatus status, std::string error) {
     r.status = status;
     r.error = std::move(error);
     r.total_ms = ms_between(item.enqueued, std::chrono::steady_clock::now());
-    return r;
   };
 
-  if (!is_algorithm(req.algorithm)) {
-    return finish(QueryStatus::kInvalidArgument,
-                  "unknown algorithm: " + req.algorithm);
+  const AlgorithmSpec* spec = find_algorithm(req.algorithm);
+  if (spec == nullptr) {
+    finish(QueryStatus::kInvalidArgument,
+           "unknown algorithm: " + req.algorithm);
+    return r;
   }
   // Pre-dispatch admission: an already-expired deadline (notably 0 ms) never
   // starts the traversal, so the timed-out outcome is deterministic.
@@ -489,7 +440,8 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
   if (has_deadline) {
     token.set_deadline(deadline);
     if (std::chrono::steady_clock::now() >= deadline) {
-      return finish(QueryStatus::kTimedOut, "deadline expired in queue");
+      finish(QueryStatus::kTimedOut, "deadline expired in queue");
+      return r;
     }
   }
   WatchGuard watch(*this, slot, token, has_deadline, item.enqueued,
@@ -500,30 +452,79 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
     return "hard-cancelled by watchdog after overrunning the deadline";
   };
 
-  // Re-roots and (if requested or in paranoid mode) validates the forest the
-  // attempt produced; an invalid forest counts as a failed attempt. Generic
-  // over the storage backend: `g` is a Graph or a storage::BlockedGraph.
-  auto finalize = [&](const auto& g) {
-    if (req.root != kInvalidVertex) reroot(r.forest, req.root);
-    if (req.validate || opts_.paranoid_validate) {
-      SMPST_TRACE_SCOPE("query.validate");
-      r.validated = true;
-      r.validation = validate_spanning_forest(g, r.forest);
-      if (!r.validation.ok) {
-        throw InvalidResultError("validation failed: " + r.validation.error);
-      }
-    }
-    r.num_trees = r.forest.num_trees();
-  };
-
   WallTimer exec_timer;
-  const std::size_t max_attempts = 1 + opts_.max_retries;
   std::string last_error;
   bool invalid_result = false;
-  bool success = false;
 
-  for (std::size_t attempt = 0; attempt < max_attempts && !success;
-       ++attempt) {
+  // The one run-on-graph step, taken by every attempt and by the degradation
+  // run: look up the graph, check the root, run `algorithm` on whichever
+  // backend holds the graph, re-root, and validate if asked (or in paranoid
+  // mode). An invalid forest counts as a thrown attempt. kFinished: the
+  // lookup, the root check or a cancellation has already finished `r`.
+  enum class Step { kServed, kThrew, kUnsupported, kFinished };
+  auto run_on_graph = [&](const std::string& algorithm) -> Step {
+    try {
+      SMPST_FAILPOINT("service.executor.execute");
+      const GraphRegistry::GraphHandle graph = registry_.get_any(req.graph);
+      if (!graph) {
+        finish(QueryStatus::kNotFound, "graph not in registry: " + req.graph);
+        return Step::kFinished;
+      }
+      const VertexId n = graph.resident != nullptr
+                             ? graph.resident->num_vertices()
+                             : graph.blocked->num_vertices();
+      if (req.root != kInvalidVertex && req.root >= n) {
+        finish(QueryStatus::kInvalidArgument, "root vertex out of range");
+        return Step::kFinished;
+      }
+      if (graph.resident == nullptr && !algorithm_supports_blocked(algorithm)) {
+        last_error = "algorithm \"" + algorithm +
+                     "\" has no blocked-backend implementation";
+        return Step::kUnsupported;
+      }
+      RunOptions run;
+      run.seed = req.seed;
+      run.cancel = &token;
+      run.stats = req.want_stats ? &r.stats : nullptr;
+      auto run_on = [&](const auto& g) {
+        {
+          SMPST_TRACE_SCOPE("query.compute");
+          r.forest = run_algorithm(algorithm, g, pool, run);
+        }
+        if (req.root != kInvalidVertex) reroot(r.forest, req.root);
+        if (req.validate || opts_.paranoid_validate) {
+          SMPST_TRACE_SCOPE("query.validate");
+          r.validated = true;
+          r.validation = validate_spanning_forest(g, r.forest);
+          if (!r.validation.ok) {
+            throw InvalidResultError("validation failed: " +
+                                     r.validation.error);
+          }
+        }
+        r.num_trees = r.forest.num_trees();
+      };
+      if (graph.resident != nullptr) {
+        run_on(*graph.resident);
+      } else {
+        run_on(*graph.blocked);
+      }
+      return Step::kServed;
+    } catch (const CancelledError&) {
+      finish(QueryStatus::kTimedOut, timeout_error());
+      return Step::kFinished;
+    } catch (const InvalidResultError& e) {
+      invalid_result = true;
+      last_error = e.what();
+    } catch (const std::exception& e) {
+      invalid_result = false;
+      last_error = e.what();
+    }
+    return Step::kThrew;
+  };
+
+  const std::size_t max_attempts = 1 + opts_.max_retries;
+  Step step = Step::kThrew;
+  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) {
       retries_.fetch_add(1, std::memory_order_relaxed);
       auto backoff = std::chrono::milliseconds(
@@ -532,9 +533,10 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) {
           r.exec_ms = exec_timer.elapsed_millis();
-          return finish(QueryStatus::kTimedOut,
-                        "deadline expired between retries (last error: " +
-                            last_error + ")");
+          finish(QueryStatus::kTimedOut,
+                 "deadline expired between retries (last error: " +
+                     last_error + ")");
+          return r;
         }
         backoff = std::min(
             backoff,
@@ -544,111 +546,39 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
       if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
     }
     r.attempts = static_cast<std::uint32_t>(attempt + 1);
-    try {
-      SMPST_FAILPOINT("service.executor.execute");
-      const GraphRegistry::GraphHandle graph = registry_.get_any(req.graph);
-      if (!graph) {
-        r.exec_ms = exec_timer.elapsed_millis();
-        return finish(QueryStatus::kNotFound,
-                      "graph not in registry: " + req.graph);
-      }
-      const VertexId n = graph.resident != nullptr
-                             ? graph.resident->num_vertices()
-                             : graph.blocked->num_vertices();
-      if (req.root != kInvalidVertex && req.root >= n) {
-        r.exec_ms = exec_timer.elapsed_millis();
-        return finish(QueryStatus::kInvalidArgument,
-                      "root vertex out of range");
-      }
-      RunOptions run;
-      run.seed = req.seed;
-      run.cancel = &token;
-      run.stats = req.want_stats ? &r.stats : nullptr;
-      // One body for both backends; a blocked entry asked for a kernel with
-      // no blocked instantiation (dfs, hcs) throws std::invalid_argument
-      // here, burns the attempts fast, and lands in the degradation chain
-      // below — which serves it with the blocked sequential BFS.
-      auto attempt_on = [&](const auto& g) {
-        {
-          SMPST_TRACE_SCOPE("query.compute");
-          r.forest = run_algorithm(req.algorithm, g, pool, run);
-        }
-        finalize(g);
-      };
-      if (graph.resident != nullptr) {
-        attempt_on(*graph.resident);
-      } else {
-        attempt_on(*graph.blocked);
-      }
-      success = true;
-    } catch (const CancelledError&) {
-      r.exec_ms = exec_timer.elapsed_millis();
-      return finish(QueryStatus::kTimedOut, timeout_error());
-    } catch (const InvalidResultError& e) {
-      invalid_result = true;
-      last_error = e.what();
-    } catch (const std::exception& e) {
-      invalid_result = false;
-      last_error = e.what();
-    }
+    step = run_on_graph(req.algorithm);
+    if (step != Step::kThrew) break;
   }
 
-  // Degradation chain: every attempt at the requested (parallel) algorithm
-  // threw or produced an invalid forest — serve the query with the sequential
-  // baseline rather than failing it.
-  if (!success && opts_.degrade_to_sequential &&
-      !is_sequential(req.algorithm)) {
-    try {
-      const GraphRegistry::GraphHandle graph = registry_.get_any(req.graph);
-      const VertexId n = graph.resident != nullptr
-                             ? graph.resident->num_vertices()
-                         : graph.blocked != nullptr
-                             ? graph.blocked->num_vertices()
-                             : 0;
-      if (graph && (req.root == kInvalidVertex || req.root < n)) {
-        RunOptions run;
-        run.seed = req.seed;
-        run.cancel = &token;
-        auto degrade_on = [&](const auto& g) {
-          {
-            SMPST_TRACE_SCOPE("query.compute");
-            r.forest = run_algorithm("bfs", g, pool, run);
-          }
-          finalize(g);
-        };
-        if (graph.resident != nullptr) {
-          degrade_on(*graph.resident);
-        } else {
-          degrade_on(*graph.blocked);
-        }
-        r.degraded = true;
-        degraded_.fetch_add(1, std::memory_order_relaxed);
-        success = true;
-      }
-    } catch (const CancelledError&) {
-      r.exec_ms = exec_timer.elapsed_millis();
-      return finish(QueryStatus::kTimedOut, timeout_error());
-    } catch (const InvalidResultError& e) {
-      invalid_result = true;
-      last_error = e.what();
-    } catch (const std::exception& e) {
-      invalid_result = false;
-      last_error = e.what();
+  // Degradation chain: serve the query with the sequential baseline rather
+  // than failing it, when every attempt at a parallel algorithm threw or
+  // produced an invalid forest, or at once (no retries) when the graph is
+  // blocked and the algorithm has no blocked instantiation (dfs, hcs).
+  if (opts_.degrade_to_sequential &&
+      ((step == Step::kThrew && spec->parallel) ||
+       step == Step::kUnsupported)) {
+    step = run_on_graph("bfs");
+    if (step == Step::kServed) {
+      r.degraded = true;
+      degraded_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   r.exec_ms = exec_timer.elapsed_millis();
-  if (!success) {
-    return finish(invalid_result ? QueryStatus::kInvalid
-                                 : QueryStatus::kFailed,
-                  last_error);
+  if (step == Step::kFinished) return r;
+  if (step != Step::kServed) {
+    finish(invalid_result ? QueryStatus::kInvalid : QueryStatus::kFailed,
+           last_error);
+    return r;
   }
   if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
     // Completed late (the algorithm may lack a cancellation hook); the forest
     // is kept but the latency contract was missed.
-    return finish(QueryStatus::kTimedOut, "completed after deadline");
+    finish(QueryStatus::kTimedOut, "completed after deadline");
+    return r;
   }
-  return finish(QueryStatus::kOk, {});
+  finish(QueryStatus::kOk, {});
+  return r;
 }
 
 }  // namespace smpst::service

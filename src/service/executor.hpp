@@ -15,7 +15,7 @@
 // Execution is exception-safe end to end: worker threads contain every
 // exception (a thrown attempt is retried with backoff, then degraded to the
 // sequential baseline, and only then surfaced as a typed kFailed outcome),
-// and the promise behind every accepted request is always satisfied. With
+// and the completion of every request always fires. With
 // paranoid_validate, every successful forest is additionally checked against
 // the validation oracle before being reported kOk. See docs/ROBUSTNESS.md.
 #pragma once
@@ -29,10 +29,10 @@
 #include <thread>
 #include <vector>
 
+#include "obs/histogram.hpp"
 #include "service/bounded_queue.hpp"
 #include "service/graph_registry.hpp"
 #include "service/query.hpp"
-#include "service/service_stats.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace smpst {
@@ -96,7 +96,7 @@ struct ServiceStats {
   std::uint64_t degraded = 0;          ///< queries served by the fallback
   std::uint64_t watchdog_cancels = 0;  ///< watchdog hard-cancellations
 
-  LatencyHistogram::Snapshot latency;  ///< total_ms of executed requests
+  obs::LatencyHistogram::Snapshot latency;  ///< total_ms of executed requests
   GraphRegistry::Stats registry;
 };
 
@@ -111,33 +111,30 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// Never blocks: a request the queue cannot take resolves immediately to
-  /// kRejected. The future is always eventually satisfied.
-  std::future<QueryResult> submit(SpanningTreeRequest req);
-
-  /// Completion handler for the callback-based submit path. Invoked exactly
-  /// once per request — from the worker thread that executed it, or inline
-  /// from submit() for a rejected request. It must not block for long (it
-  /// runs on the serving path) and must not re-enter the executor.
-  using Completion = std::function<void(const QueryResult&)>;
+  /// How every request is answered. Invoked exactly once per request — from
+  /// the worker thread that executed it, or inline from submit() for a
+  /// rejected request — and handed the result to keep. It must not block for
+  /// long (it runs on the serving path) and must not re-enter the executor.
+  using Completion = std::function<void(QueryResult)>;
 
   /// Event-driven submit for network front ends: no future, no waiting
-  /// thread. `done` always fires, even on rejection (status kRejected) or
-  /// executor shutdown. A throwing completion is contained and counted, never
-  /// propagated.
+  /// thread. Never blocks: a request the queue cannot take is answered
+  /// kRejected inline. `done` always fires, even on executor shutdown. A
+  /// throwing completion is contained, never propagated.
   void submit(SpanningTreeRequest req, Completion done);
 
   /// Admits the batch atomically: either every request is queued or the whole
   /// batch is rejected (partial admission would make batch latency depend on
-  /// its own rejected remainder).
-  std::vector<std::future<QueryResult>> submit_batch(
-      std::vector<SpanningTreeRequest> reqs);
-
-  /// Callback flavor of submit_batch; `dones` must be the same length as
-  /// `reqs` and every entry fires exactly once (kRejected inline when the
-  /// batch does not fit).
+  /// its own rejected remainder). `dones` must be the same length as `reqs`
+  /// and every entry fires exactly once.
   void submit_batch(std::vector<SpanningTreeRequest> reqs,
                     std::vector<Completion> dones);
+
+  /// Future flavours of the two above: each future is fulfilled by the
+  /// request's completion, so it is always eventually satisfied.
+  std::future<QueryResult> submit(SpanningTreeRequest req);
+  std::vector<std::future<QueryResult>> submit_batch(
+      std::vector<SpanningTreeRequest> reqs);
 
   /// Runs an opaque task on a worker slot. Sessions use this to keep heavy
   /// admin commands (graph load/gen from disk, trace dumps) off the network
@@ -154,8 +151,8 @@ class QueryExecutor {
   /// Stops admissions, drains accepted requests, joins workers. Idempotent.
   void shutdown();
 
-  /// Blocks until every accepted request has completed (its promise satisfied
-  /// and completion invoked) or `timeout` elapses; does NOT stop admissions —
+  /// Blocks until every accepted request has completed (its completion
+  /// invoked) or `timeout` elapses; does NOT stop admissions —
   /// the caller is expected to have stopped submitting. Returns true when the
   /// executor went idle within the deadline. The watchdog keeps hard-
   /// cancelling overrunning queries meanwhile, which is what bounds a drain
@@ -185,11 +182,10 @@ class QueryExecutor {
  private:
   struct Item {
     SpanningTreeRequest req;
-    std::promise<QueryResult> promise;
     std::chrono::steady_clock::time_point enqueued;
-    Completion done;  ///< optional; invoked exactly once when set
-    /// Offloaded admin work; when set, req/promise/done are unused and the
-    /// worker runs the task instead of executing a query.
+    Completion done;  ///< invoked exactly once
+    /// Offloaded admin work; when set, req/done are unused and the worker
+    /// runs the task instead of executing a query.
     std::function<void()> task;
   };
 
@@ -211,7 +207,7 @@ class QueryExecutor {
   void watchdog_loop();
   QueryResult execute(Item& item, ThreadPool& pool, std::size_t slot);
   void wait_if_paused();
-  void reject_inline(Item& item, std::string reason);
+  void admit(std::vector<Item> items, std::string reject_reason);
   void finish_pending();
 
   GraphRegistry& registry_;
@@ -249,7 +245,7 @@ class QueryExecutor {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> degraded_{0};
   std::atomic<std::uint64_t> watchdog_cancels_{0};
-  LatencyHistogram latency_;
+  obs::LatencyHistogram latency_;
 };
 
 }  // namespace smpst::service

@@ -9,6 +9,13 @@
 // code it did before this interface existed — no virtual dispatch anywhere
 // near a neighbour loop.
 //
+// Internal bodies: an explicit instantiation is a COMDAT (weak) symbol, and
+// GCC does not split COMDAT functions into hot and cold parts. A kernel
+// whose parallel region is a pool.run lambda therefore keeps its body in an
+// internal `*_impl` function template that the exported template calls:
+// the lambda, and the std::function handler that inlines the worker loop,
+// stay internal and keep their hot/cold split.
+//
 // `is_resident` distinguishes the two at compile time where it matters:
 // software prefetch of a neighbour slice is a win when `neighbors()` is a
 // pointer computation but would trigger real I/O on a blocked graph, so the

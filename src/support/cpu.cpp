@@ -24,6 +24,10 @@ std::size_t hardware_threads() noexcept {
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
+std::size_t threads_or_hardware(std::size_t num_threads) noexcept {
+  return num_threads != 0 ? num_threads : hardware_threads();
+}
+
 bool pin_current_thread(std::size_t slot) noexcept {
 #if defined(__linux__)
   // Fresh snapshot, not the process-lifetime cache: pinning must honour the

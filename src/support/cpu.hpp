@@ -16,6 +16,10 @@ namespace smpst {
 /// a 64-core host gets 4 workers, not 64.
 std::size_t hardware_threads() noexcept;
 
+/// The size of the pool a kernel builds for itself: `num_threads`, or
+/// hardware_threads() when it is 0 (every options struct's "auto").
+std::size_t threads_or_hardware(std::size_t num_threads) noexcept;
+
 /// Pins the calling thread to placement slot `slot`: the slot-th CPU of the
 /// allowed set in topology order (grouped by NUMA node — see
 /// CpuTopology). Returns false honestly when the slot cannot be honoured —

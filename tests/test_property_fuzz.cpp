@@ -117,10 +117,11 @@ TEST(Fuzz, RandomPipelinesAlwaysValidate) {
     SpanningForest forest;
     if (preprocess) {
       const auto red = eliminate_degree2(g);
-      const auto rf = run_algorithm(algo.name, red.reduced, pool, rng.next());
+      const auto rf = run_algorithm(algo.name, red.reduced, pool,
+                                      RunOptions{rng.next()});
       forest.parent = expand_parent_forest(g, red, rf.parent);
     } else {
-      forest = run_algorithm(algo.name, g, pool, rng.next());
+      forest = run_algorithm(algo.name, g, pool, RunOptions{rng.next()});
     }
     const auto report = validate_spanning_forest(g, forest);
     ASSERT_TRUE(report) << "round " << round << ": " << fam.name << " + "

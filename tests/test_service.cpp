@@ -16,7 +16,7 @@
 #include "service/bounded_queue.hpp"
 #include "service/executor.hpp"
 #include "service/graph_registry.hpp"
-#include "service/service_stats.hpp"
+#include "obs/histogram.hpp"
 #include "service/wire.hpp"
 
 namespace smpst::service {
@@ -108,7 +108,7 @@ TEST(GraphRegistry, GenerateAndUnknownFamilyThrows) {
 // --------------------------------------------------------------- histogram
 
 TEST(LatencyHistogram, EmptySnapshot) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.percentile(50), 0.0);
@@ -117,7 +117,7 @@ TEST(LatencyHistogram, EmptySnapshot) {
 }
 
 TEST(LatencyHistogram, SingleSampleEveryPercentileIsTheSample) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   h.record_ms(3.5);
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 1u);
@@ -130,7 +130,7 @@ TEST(LatencyHistogram, SingleSampleEveryPercentileIsTheSample) {
 }
 
 TEST(LatencyHistogram, PercentilesAreMonotoneAndBracketed) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   for (int i = 1; i <= 1000; ++i) h.record_ms(static_cast<double>(i) / 10);
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 1000u);
@@ -148,7 +148,7 @@ TEST(LatencyHistogram, PercentilesAreMonotoneAndBracketed) {
 }
 
 TEST(LatencyHistogram, ZeroAndNegativeSamplesLandInBucketZero) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   h.record_ms(0.0);
   h.record_ms(-1.0);  // clamped
   const auto s = h.snapshot();
@@ -157,7 +157,7 @@ TEST(LatencyHistogram, ZeroAndNegativeSamplesLandInBucketZero) {
 }
 
 TEST(LatencyHistogram, ConcurrentRecordersLoseNothing) {
-  LatencyHistogram h;
+  obs::LatencyHistogram h;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {

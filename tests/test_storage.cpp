@@ -287,17 +287,27 @@ TEST(BlockedGraph, ParallelForestsValidateAtFourThreads) {
   }
 }
 
+// Dispatch over the blocked backend follows the algorithms() table: every
+// registered algorithm either yields a valid forest or throws
+// std::invalid_argument, and it throws exactly when the table says it has no
+// blocked instantiation.
 TEST(BlockedGraph, ResidentOnlyAlgorithmsAreRejected) {
   const Graph g = medium_graph();
   const std::string path = csr_path_for(g, "reject");
   const BlockedGraph bg(path, {});
   ThreadPool pool(1);
-  EXPECT_FALSE(algorithm_supports_blocked("dfs"));
-  EXPECT_FALSE(algorithm_supports_blocked("hcs"));
-  EXPECT_THROW(run_algorithm("dfs", bg, pool, RunOptions{}),
-               std::invalid_argument);
-  EXPECT_THROW(run_algorithm("hcs", bg, pool, RunOptions{}),
-               std::invalid_argument);
+  for (const AlgorithmSpec& spec : algorithms()) {
+    bool threw = false;
+    try {
+      const SpanningForest forest =
+          run_algorithm(spec.name, bg, pool, RunOptions{});
+      const auto report = validate_spanning_forest(bg, forest);
+      EXPECT_TRUE(report.ok) << spec.name << ": " << report.error;
+    } catch (const std::invalid_argument&) {
+      threw = true;
+    }
+    EXPECT_EQ(threw, !algorithm_supports_blocked(spec.name)) << spec.name;
+  }
   EXPECT_THROW(run_algorithm("no-such-algo", bg, pool, RunOptions{}),
                std::invalid_argument);
 }
@@ -419,6 +429,36 @@ TEST(StorageService, BlockedQueriesValidateRootRange) {
   const auto rerooted = executor.submit(good).get();
   ASSERT_EQ(rerooted.status, service::QueryStatus::kOk) << rerooted.error;
   EXPECT_EQ(rerooted.forest.parent[7], 7u);
+}
+
+// dfs and hcs have no blocked instantiation: on a blocked entry the executor
+// sends them straight to the degradation chain (the blocked sequential BFS)
+// instead of retrying an attempt that cannot succeed.
+TEST(StorageService, BlockedDfsAndHcsDegradeWithoutRetries) {
+  const Graph g = medium_graph(23);
+  const std::string path = csr_path_for(g, "degrade");
+  service::GraphRegistry registry;
+  const auto bg = registry.open_blocked("disk", path, {});
+  ASSERT_NE(bg, nullptr);
+  service::ExecutorOptions eopts;
+  eopts.num_workers = 1;
+  eopts.max_retries = 2;
+  service::QueryExecutor executor(registry, eopts);
+
+  for (const char* algo : {"dfs", "hcs"}) {
+    service::SpanningTreeRequest req;
+    req.graph = "disk";
+    req.algorithm = algo;
+    const auto r = executor.submit(req).get();
+    ASSERT_EQ(r.status, service::QueryStatus::kOk) << algo << ": " << r.error;
+    EXPECT_TRUE(r.degraded) << algo;
+    EXPECT_EQ(r.attempts, 1u) << algo;
+    const auto report = validate_spanning_forest(*bg, r.forest);
+    EXPECT_TRUE(report.ok) << algo << ": " << report.error;
+  }
+  const auto stats = executor.stats();
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.degraded, 2u);
 }
 
 // Regression for the memory_bytes accounting fix: a graph carrying vector
