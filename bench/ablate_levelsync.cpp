@@ -5,11 +5,12 @@
 // barriers regardless of topology, while level-synchronous BFS pays
 // barriers on every BFS level wide enough to share — O(diameter). On low-diameter graphs the two are
 // equivalent; on meshes (diameter ~ sqrt(n)) and chains (diameter ~ n) the
-// barrier term dominates and the asynchronous design wins decisively. This
-// bench measures both implementations' wall time and reports the E4500 cost
-// prediction for each (work/p plus barrier overhead).
+// barrier term dominates and the asynchronous design should win. This bench
+// measures both implementations' wall time on a pool of p workers, next to
+// the level-synchronous run's measured levels and barrier episodes.
 //
-// Usage: ablate_levelsync [--n=65536] [--p=8] [--reps=2] [--seed=...] [--csv]
+// Usage: ablate_levelsync [--n=65536] [--p=hardware threads] [--reps=2]
+//        [--seed=...] [--csv]
 #include <iostream>
 
 #include "bench_util/cli.hpp"
@@ -20,29 +21,28 @@
 #include "core/validate.hpp"
 #include "gen/registry.hpp"
 #include "graph/stats.hpp"
-#include "model/cost_model.hpp"
-#include "model/virtual_smp.hpp"
 #include "sched/thread_pool.hpp"
 #include "support/assert.hpp"
+#include "support/cpu.hpp"
 
 using namespace smpst;
 
 int main(int argc, char** argv) try {
   const bench::Cli cli(argc, argv);
   const auto n = static_cast<VertexId>(cli.get_int("n", 1 << 16));
-  const auto p = static_cast<std::size_t>(cli.get_int("p", 8));
+  const auto p = static_cast<std::size_t>(cli.get_int(
+      "p", static_cast<std::int64_t>(hardware_threads())));
   const auto reps = static_cast<std::size_t>(cli.get_int("reps", 2));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 0x5eed));
   const bool csv = cli.get_bool("csv", false);
   cli.reject_unknown();
 
-  const auto machine = model::sun_e4500();
   std::cout << "== A5: work stealing (O(1) barriers) vs level-synchronous "
                "BFS (O(diameter) barriers), p="
             << p << " ==\n";
 
-  bench::Table table({"family", "diam>=", "levels", "bc_wall", "lsync_wall",
-                      "bc_e4500", "lsync_e4500", "lsync/bc"});
+  bench::Table table({"family", "diam>=", "levels", "barriers", "bc_wall",
+                      "lsync_wall", "lsync/bc"});
   ThreadPool pool(p);
 
   for (const char* family :
@@ -64,31 +64,12 @@ int main(int argc, char** argv) try {
         [&] { forest = parallel_bfs_spanning_tree(g, pool, ls); }, reps);
     SMPST_CHECK(validate_spanning_forest(g, forest).ok, "lsync invalid");
 
-    // E4500 predictions: the traversal from the virtual-SMP replay; the
-    // level-synchronous run as perfectly-balanced per-level work plus its
-    // measured barrier episodes (two per level the group expands; thin
-    // levels run on one worker without any).
-    model::VirtualRunOptions vopts;
-    vopts.processors = p;
-    vopts.seed = seed;
-    const double bc_pred =
-        model::virtual_traversal(g, vopts).seconds_on(machine);
-    const double unit_ns =
-        machine.noncontig_access_ns + machine.local_op_ns;
-    const double work_units =
-        static_cast<double>(g.num_vertices()) +
-        2.0 * static_cast<double>(g.num_edges());
-    const double ls_pred =
-        (work_units / static_cast<double>(p) * unit_ns +
-         static_cast<double>(ls_stats.barriers) * machine.barrier_ns) *
-        1e-9;
-
     table.add_row({family, std::to_string(gstats.diameter_lower_bound),
                    bench::fmt_count(ls_stats.levels),
+                   bench::fmt_count(ls_stats.barriers),
                    bench::fmt_seconds(bc_time.min_s),
                    bench::fmt_seconds(ls_time.min_s),
-                   bench::fmt_seconds(bc_pred), bench::fmt_seconds(ls_pred),
-                   bench::fmt_double(ls_pred / bc_pred, 1)});
+                   bench::fmt_double(ls_time.min_s / bc_time.min_s, 2)});
   }
   if (csv) {
     table.print_csv(std::cout);

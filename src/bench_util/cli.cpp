@@ -5,6 +5,37 @@
 
 namespace smpst::bench {
 
+namespace {
+
+// Numeric values must be consumed whole, so "--n=2e4" or "--threads=1,2x" is
+// an error rather than a silent 2.
+[[noreturn]] void reject_number(const std::string& name,
+                                const std::string& text) {
+  throw std::invalid_argument("--" + name + ": not a number: '" + text + "'");
+}
+
+std::int64_t parse_int(const std::string& name, const std::string& text) {
+  std::size_t used = 0;
+  try {
+    const std::int64_t value = std::stoll(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {  // no digits, or out of range
+  }
+  reject_number(name, text);
+}
+
+double parse_double(const std::string& name, const std::string& text) {
+  std::size_t used = 0;
+  try {
+    const double value = std::stod(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {  // no digits, or out of range
+  }
+  reject_number(name, text);
+}
+
+}  // namespace
+
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -36,13 +67,13 @@ std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   queried_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stoll(it->second);
+  return it == values_.end() ? fallback : parse_int(name, it->second);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   queried_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  return it == values_.end() ? fallback : parse_double(name, it->second);
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
@@ -61,7 +92,7 @@ std::vector<std::int64_t> Cli::get_int_list(
   std::stringstream ss(it->second);
   std::string token;
   while (std::getline(ss, token, ',')) {
-    if (!token.empty()) out.push_back(std::stoll(token));
+    if (!token.empty()) out.push_back(parse_int(name, token));
   }
   return out;
 }

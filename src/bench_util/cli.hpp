@@ -20,6 +20,8 @@ class Cli {
 
   [[nodiscard]] std::string get_string(const std::string& name,
                                        const std::string& fallback) const;
+  /// The numeric getters throw std::invalid_argument naming the flag unless
+  /// the whole value is a number ("--n=2e4" is rejected, not read as 2).
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name,

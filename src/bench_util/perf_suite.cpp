@@ -16,6 +16,7 @@
 #include "core/validate.hpp"
 #include "gen/registry.hpp"
 #include "graph/stats.hpp"
+#include "model/cost_model.hpp"
 #include "storage/blocked_graph.hpp"
 #include "storage/csr_file.hpp"
 #include "obs/trace.hpp"
@@ -123,6 +124,12 @@ PerfRun measure_bader_cong(const Graph& g, ThreadPool& pool, std::size_t p,
   run.duplicate_expansions = stats.duplicate_expansions;
   run.fallback_triggered = stats.fallback_triggered;
   run.load_imbalance = stats.load_imbalance();
+  run.stub_s = stats.stub_seconds;
+  run.traversal_s = stats.traversal_seconds;
+  run.fallback_s = stats.fallback_seconds;
+  run.tm_measured = stats.max_thread_accesses();
+  run.tm_formula =
+      model::bader_cong_cost(g.num_vertices(), g.num_edges(), p).mem_accesses;
   return run;
 }
 
@@ -276,6 +283,12 @@ PerfSuiteResult run_perf_suite(const PerfSuiteConfig& config,
                                   "'");
     }
   }
+  for (const std::int64_t p : config.threads) {
+    if (p < 1) {
+      throw std::invalid_argument(
+          "perf_suite: thread counts must be >= 1, got " + std::to_string(p));
+    }
+  }
 
   if (!config.trace_path.empty()) {
     obs::trace::label_current_thread("perf-suite-driver");
@@ -327,7 +340,6 @@ PerfSuiteResult run_perf_suite(const PerfSuiteConfig& config,
 
     for (const std::int64_t pi : config.threads) {
       const auto p = static_cast<std::size_t>(pi);
-      SMPST_CHECK(p >= 1, "perf_suite: thread counts must be >= 1");
       ThreadPoolOptions pool_opts;
       pool_opts.pin_threads = config.pin_threads;
       ThreadPool pool(p, pool_opts);
@@ -444,6 +456,14 @@ void write_perf_suite_json(const PerfSuiteResult& result, std::ostream& os) {
          << (run.fallback_triggered ? "true" : "false") << ",\n"
          << "            \"load_imbalance\": "
          << json_double(run.load_imbalance) << ",\n"
+         << "            \"stub_s\": " << json_double(run.stub_s) << ",\n"
+         << "            \"traversal_s\": " << json_double(run.traversal_s)
+         << ",\n"
+         << "            \"fallback_s\": " << json_double(run.fallback_s)
+         << ",\n"
+         << "            \"tm_measured\": " << run.tm_measured << ",\n"
+         << "            \"tm_formula\": " << json_double(run.tm_formula)
+         << ",\n"
          << "            \"sv_iterations\": " << run.sv_iterations << ",\n"
          << "            \"pull_levels\": " << run.pull_levels << ",\n"
          << "            \"direction_switches\": " << run.direction_switches

@@ -8,9 +8,10 @@
 // schema-versioned `BENCH_smpst.json` so perf claims can be diffed across
 // commits (docs/BENCHMARKING.md).
 //
-// Lives in bench_util (not bench/) so tests can drive the suite in-process
-// and so it composes with the rest of the harness: the same `--trace` flag
-// as the panel runner and the failpoint spec grammar of the chaos tools.
+// It is also the figure driver: every Fig. 3/4 panel is one `--families=…
+// --n=… --threads=…` command line (README). Lives in bench_util (not bench/)
+// so tests can drive the suite in-process and so it composes with the rest
+// of the harness: the failpoint spec grammar of the chaos tools.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +57,8 @@ struct PerfSuiteConfig {
   /// hosts (this is why the default is on).
   bool numa_interleave = true;
 
-  /// Same semantics as PanelConfig::trace_path: non-empty enables tracing
-  /// and writes a Chrome trace_event file when the suite finishes.
+  /// Non-empty enables per-phase tracing and writes a Chrome trace_event
+  /// file here when the suite finishes (docs/OBSERVABILITY.md).
   std::string trace_path;
 
   /// Failpoint spec list ("site=spec;..."), armed for the whole suite run —
@@ -94,6 +95,13 @@ struct PerfRun {
   std::uint64_t sleep_episodes = 0;
   bool fallback_triggered = false;
   double load_imbalance = 0.0;
+  double stub_s = 0.0;  ///< TraversalStats phase times
+  double traversal_s = 0.0;
+  double fallback_s = 0.0;
+  /// Measured T_M (TraversalStats::max_thread_accesses) beside the paper's
+  /// closed form model::bader_cong_cost(n, m, p).mem_accesses.
+  std::uint64_t tm_measured = 0;
+  double tm_formula = 0.0;
   std::uint64_t sv_iterations = 0;  ///< SV only; zero elsewhere
   // parallel_bfs columns only; zero elsewhere. pull_levels stays zero for
   // the kPushOnly column by construction.
@@ -158,7 +166,8 @@ PerfSuiteConfig perf_suite_config_from_cli(const Cli& cli);
 
 /// Runs every (family, algorithm, p) cell, validating each algorithm's
 /// forest once per cell. Progress lines ("# family=... p=...") go to
-/// `progress`. Throws on invalid config (unknown family, empty thread list).
+/// `progress`. Throws on invalid config (unknown family, empty thread list,
+/// a thread count below 1: std::invalid_argument before any pool is built).
 PerfSuiteResult run_perf_suite(const PerfSuiteConfig& config,
                                std::ostream& progress);
 

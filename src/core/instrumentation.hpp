@@ -56,6 +56,17 @@ struct TraversalStats {
     return total;
   }
 
+  /// Measured T_M of the Helman–JáJá triple (model/cost_model.hpp): the
+  /// busiest thread's dequeues plus edges scanned.
+  [[nodiscard]] std::uint64_t max_thread_accesses() const noexcept {
+    std::uint64_t max = 0;
+    for (const auto& t : per_thread) {
+      const std::uint64_t a = t.vertices_processed + t.edges_scanned;
+      max = max < a ? a : max;
+    }
+    return max;
+  }
+
   /// max/mean of per-thread processed counts; 1.0 == perfectly balanced.
   [[nodiscard]] double load_imbalance() const noexcept {
     if (per_thread.empty()) return 1.0;

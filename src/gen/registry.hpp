@@ -1,7 +1,7 @@
 // Name-keyed generator registry used by the benchmark harness, tests, and
 // example CLIs. The names mirror the paper's evaluation families so a bench
-// invocation reads like the figure it reproduces, e.g.
-//   fig4_torus --family=torus-rowmajor --n=1048576
+// invocation reads like the figure it reproduces, e.g. Fig. 4 panels 1-2:
+//   perf_suite --families=torus-rowmajor,torus-random --n=1048576
 #pragma once
 
 #include <cstdint>

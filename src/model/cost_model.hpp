@@ -9,11 +9,9 @@
 // This module provides (a) the closed-form triples the paper derives for the
 // sequential baseline, the new traversal algorithm, and Shiloach–Vishkin,
 // and (b) a machine-parameter evaluator that converts a triple into seconds
-// for a configurable SMP. The evaluator doubles as our Sun E4500 *simulator*:
-// this container exposes a single hardware core, so the figure-shape
-// reproduction (who wins, by what factor, how curves scale with p) is driven
-// through these predictions, parameterized with E4500-like latencies, while
-// the real multithreaded runs validate correctness (see DESIGN.md §5).
+// for a configurable SMP. The figures are measured, not predicted: the
+// triples sit beside the kernels' measured counters (perf_suite's
+// tm_measured / tm_formula, bench/table_cost_model).
 #pragma once
 
 #include <cstdint>

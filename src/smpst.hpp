@@ -53,10 +53,8 @@
 #include "msf/prim.hpp"
 #include "msf/weighted.hpp"
 
-// Cost model and virtual SMP.
+// Cost model.
 #include "model/cost_model.hpp"
-#include "model/simulator.hpp"
-#include "model/virtual_smp.hpp"
 
 // Runtime.
 #include "sched/barrier.hpp"

@@ -50,6 +50,22 @@ TEST(Cli, RejectsMalformedAndUnknown) {
   const Cli ok = make_cli({"--n=1"});
   ok.get_int("n", 0);
   ok.reject_unknown();  // no throw
+
+  // Numeric values must be consumed whole: "2e4" is not read as 2, and the
+  // error names the flag.
+  EXPECT_THROW((void)make_cli({"--n="}).get_int("n", 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_cli({"--threads=1,2x"}).get_int_list("threads", {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)make_cli({"--ratio=1.5x"}).get_double("ratio", 0.0),
+               std::invalid_argument);
+  try {
+    (void)make_cli({"--n=2e4"}).get_int("n", 0);
+    ADD_FAILURE() << "--n=2e4 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TimingStats, SummarizeKnownSamples) {

@@ -11,6 +11,8 @@
 
 #include "bench_util/cli.hpp"
 #include "bench_util/perf_suite.hpp"
+#include "gen/registry.hpp"
+#include "model/cost_model.hpp"
 
 namespace smpst::bench {
 namespace {
@@ -208,6 +210,48 @@ TEST(PerfSuite, RejectsUnknownFamily) {
   EXPECT_THROW(run_perf_suite(cfg, progress), std::invalid_argument);
 }
 
+// A negative count must be refused before the size_t cast turns it into a
+// huge pool; the check runs before any family is generated or pool built.
+TEST(PerfSuite, RejectsThreadCountBelowOne) {
+  PerfSuiteConfig cfg = tiny_config(1);
+  cfg.threads = {-1};
+  std::ostringstream progress;
+  EXPECT_THROW(run_perf_suite(cfg, progress), std::invalid_argument);
+  EXPECT_TRUE(progress.str().empty()) << progress.str();
+}
+
+// Every family the registry cites for Fig. 3 or Fig. 4 runs through the suite
+// with every column validated (run_perf_suite checks each forest) and a
+// positive, finite speedup: no panel of the retired figure programs is lost.
+TEST(PerfSuite, CoversEveryFigureFamily) {
+  PerfSuiteConfig cfg;
+  cfg.families.clear();
+  for (const auto& spec : gen::families()) {
+    if (spec.description.find("(Fig. ") != std::string::npos) {
+      cfg.families.push_back(spec.name);
+    }
+  }
+  // Fig. 3 (random-1.5n) and the ten Fig. 4 panels.
+  ASSERT_EQ(cfg.families.size(), 11u);
+  cfg.n = 1 << 10;
+  cfg.threads = {1, 2};
+  cfg.repeats = 1;
+  cfg.seed = 3;
+  std::ostringstream progress;
+  const auto result = run_perf_suite(cfg, progress);
+  ASSERT_EQ(result.families.size(), cfg.families.size());
+  for (const auto& fam : result.families) {
+    // 2 thread counts x 4 columns.
+    ASSERT_EQ(fam.runs.size(), 8u) << fam.family;
+    for (const auto& run : fam.runs) {
+      EXPECT_GT(run.speedup_vs_seq_bfs, 0.0)
+          << fam.family << " " << run.algo << " p=" << run.p;
+      EXPECT_TRUE(std::isfinite(run.speedup_vs_seq_bfs))
+          << fam.family << " " << run.algo << " p=" << run.p;
+    }
+  }
+}
+
 TEST(PerfSuite, CliRoundTrip) {
   const char* argv[] = {"perf_suite",      "--scale=tiny",
                         "--threads=1,2",   "--repeats=3",
@@ -289,19 +333,38 @@ TEST(PerfSuite, StorageSweepReportsHitRatePerBudget) {
 
 // The direction-optimizing column must carry its observability fields: the
 // push-only column never pulls by construction, and both defaults are on.
+// The bader_cong cells carry their phase times and measured T_M beside the
+// closed form.
 TEST(PerfSuite, DirectionColumnPresentWithStats) {
   PerfSuiteConfig cfg;
   cfg.families = {"random-nlogn"};
   cfg.n = 4096;
-  cfg.threads = {2};
+  cfg.threads = {1, 2};
   cfg.repeats = 1;
   cfg.seed = 11;
   std::ostringstream progress;
   const auto result = run_perf_suite(cfg, progress);
   ASSERT_EQ(result.families.size(), 1u);
+  const auto& fam = result.families[0];
   bool saw_push = false;
   bool saw_dir = false;
-  for (const auto& run : result.families[0].runs) {
+  bool saw_bc_p1 = false;
+  for (const auto& run : fam.runs) {
+    if (run.algo == "bader_cong") {
+      // Phase times and T_M come from the instrumented run.
+      EXPECT_GT(run.traversal_s, 0.0);
+      EXPECT_GE(run.stub_s, 0.0);
+      EXPECT_GE(run.fallback_s, 0.0);
+      EXPECT_DOUBLE_EQ(run.tm_formula,
+                       model::bader_cong_cost(fam.n, fam.m, run.p)
+                           .mem_accesses);
+      if (run.p == 1) {
+        // One worker, no races: it dequeues each of the n vertices once and
+        // scans each of the 2m arcs once.
+        saw_bc_p1 = true;
+        EXPECT_EQ(run.tm_measured, fam.n + 2 * fam.m);
+      }
+    }
     if (run.algo == "parallel_bfs") {
       saw_push = true;
       EXPECT_EQ(run.pull_levels, 0u) << "push-only column pulled";
@@ -315,6 +378,14 @@ TEST(PerfSuite, DirectionColumnPresentWithStats) {
   }
   EXPECT_TRUE(saw_push);
   EXPECT_TRUE(saw_dir);
+  EXPECT_TRUE(saw_bc_p1);
+
+  std::ostringstream json;
+  write_perf_suite_json(result, json);
+  for (const char* key : {"\"stub_s\"", "\"traversal_s\"", "\"fallback_s\"",
+                          "\"tm_measured\"", "\"tm_formula\""}) {
+    EXPECT_NE(json.str().find(key), std::string::npos) << key;
+  }
 }
 
 }  // namespace

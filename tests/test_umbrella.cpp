@@ -25,10 +25,9 @@ TEST(Umbrella, EndToEndThroughSingleInclude) {
   const apps::RootedForest rf(forest);
   EXPECT_EQ(rf.num_vertices(), g.num_vertices());
 
-  const auto machine = model::sun_e4500();
-  model::VirtualRunOptions vo;
-  vo.processors = 8;
-  EXPECT_GT(model::virtual_traversal(g, vo).seconds_on(machine), 0.0);
+  const auto cost =
+      model::bader_cong_cost(g.num_vertices(), g.num_edges(), 8);
+  EXPECT_GT(model::predict_seconds(cost, model::sun_e4500()), 0.0);
 }
 
 }  // namespace
