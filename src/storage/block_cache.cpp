@@ -94,7 +94,24 @@ std::size_t BlockCache::memory_bytes() const noexcept {
          shards_.size() * sizeof(Shard);
 }
 
-std::size_t BlockCache::claim_frame_locked(Shard& sh, bool& evicted) {
+bool BlockCache::wait_for_unpin_locked(
+    Shard& sh, std::chrono::steady_clock::time_point& refuse_at) noexcept {
+  // Every frame is pinned or loading. A holder releases its pin when it
+  // finishes the span, so the wait ends with an unpin. It is bounded because
+  // a thread that pins more blocks than the shard has frames would otherwise
+  // wait for itself.
+  if (refuse_at == std::chrono::steady_clock::time_point{}) {
+    refuse_at = std::chrono::steady_clock::now() + kPinWaitLimit;
+  }
+  ++sh.waiters;
+  const std::cv_status st = sh.cv.wait_until(sh.mutex, refuse_at);
+  --sh.waiters;
+  return st == std::cv_status::no_timeout;
+}
+
+std::size_t BlockCache::claim_frame_locked(
+    Shard& sh, bool& evicted,
+    std::chrono::steady_clock::time_point& refuse_at) {
   if (!sh.free.empty()) {
     const std::size_t idx = sh.free.back();
     sh.free.pop_back();
@@ -129,9 +146,13 @@ std::size_t BlockCache::claim_frame_locked(Shard& sh, bool& evicted) {
     }
   }
   if (victim == nf) {
+    // The caller re-runs its lookup after a wait: another thread may have
+    // loaded the very block meanwhile.
+    if (wait_for_unpin_locked(sh, refuse_at)) return kNoFrame;
     pin_refusals_.fetch_add(1, std::memory_order_relaxed);
-    fail("block cache refuses to evict: every frame in the shard is pinned "
-         "(budget too small for the number of concurrently held spans)");
+    fail("block cache refuses to evict: every frame in the shard stayed "
+         "pinned (budget too small for the number of concurrently held "
+         "spans)");
   }
   Frame& f = sh.frames[victim];
   SMPST_ASSERT(f.block != Frame::kNoBlock);
@@ -171,6 +192,7 @@ void BlockCache::read_block(std::uint64_t block, std::byte* dst) {
 const std::byte* BlockCache::pin(std::uint64_t block) {
   SMPST_ASSERT(block < num_blocks_);
   Shard& sh = shard_of(block);
+  std::chrono::steady_clock::time_point refuse_at{};
   for (;;) {
     Frame* claimed = nullptr;
     bool evicted = false;
@@ -193,7 +215,8 @@ const std::byte* BlockCache::pin(std::uint64_t block) {
         obs_hits_.add();
         return f.data.get();
       }
-      const std::size_t idx = claim_frame_locked(sh, evicted);
+      const std::size_t idx = claim_frame_locked(sh, evicted, refuse_at);
+      if (idx == kNoFrame) continue;
       Frame& f = sh.frames[idx];
       f.block = block;
       f.loading = true;
@@ -247,12 +270,17 @@ const std::byte* BlockCache::pin(std::uint64_t block) {
 
 void BlockCache::unpin(std::uint64_t block) noexcept {
   Shard& sh = shard_of(block);
-  LockGuard<Mutex> lk(sh.mutex);
-  const auto it = sh.map.find(block);
-  SMPST_ASSERT(it != sh.map.end());
-  Frame& f = sh.frames[it->second];
-  SMPST_ASSERT(f.pins > 0);
-  --f.pins;
+  bool wake = false;
+  {
+    LockGuard<Mutex> lk(sh.mutex);
+    const auto it = sh.map.find(block);
+    SMPST_ASSERT(it != sh.map.end());
+    Frame& f = sh.frames[it->second];
+    SMPST_ASSERT(f.pins > 0);
+    --f.pins;
+    wake = f.pins == 0 && sh.waiters > 0;
+  }
+  if (wake) sh.cv.notify_all();
 }
 
 BlockCache::Stats BlockCache::stats() const noexcept {

@@ -14,11 +14,13 @@
 //   * LRU (reference policy) — exact least-recently-used by per-shard tick;
 //     O(frames) victim scan, used by tests as the behavioural reference.
 //
-// If every frame in the shard is pinned the cache refuses — it throws
+// If every frame in the shard is pinned, a miss waits for an unpin: the
+// kernels hold at most one pin per thread, so a holder always makes
+// progress and p workers share a shard of as few as two frames. The wait is
+// bounded by kPinWaitLimit; past it the cache refuses — it throws
 // StorageError rather than evicting under a pin or blocking indefinitely —
-// so a traversal with more simultaneously-pinned slices than frames fails
-// loudly instead of corrupting a reader (size the budget to at least a few
-// frames per worker thread; see docs/STORAGE.md).
+// so a caller that holds more pins than the shard has frames fails loudly
+// instead of deadlocking or corrupting a reader (see docs/STORAGE.md).
 //
 // Concurrency: state is sharded by block id; each shard is guarded by one
 // smpst::Mutex (lockdep rank storage.block_cache.shard). Disk reads happen
@@ -31,6 +33,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -78,11 +81,15 @@ class BlockCache {
 
   /// Pins the block and returns its bytes (valid until unpin). Counts a hit
   /// or a miss; a miss may evict and reads from disk. Throws StorageError on
-  /// read failure or when every frame in the shard is pinned.
+  /// read failure or when every frame in the shard stays pinned for
+  /// kPinWaitLimit.
   const std::byte* pin(std::uint64_t block);
 
   /// Releases one pin taken by pin() on the same block.
   void unpin(std::uint64_t block) noexcept;
+
+  /// How long a miss waits for a frame to be unpinned before refusing.
+  static constexpr std::chrono::milliseconds kPinWaitLimit{500};
 
   struct Stats {
     std::uint64_t hits = 0;
@@ -131,15 +138,27 @@ class BlockCache {
     std::vector<std::size_t> free SMPST_GUARDED_BY(mutex);
     std::size_t hand SMPST_GUARDED_BY(mutex) = 0;  // CLOCK sweep position
     std::uint64_t tick SMPST_GUARDED_BY(mutex) = 0;
+    std::size_t waiters SMPST_GUARDED_BY(mutex) = 0;  // misses awaiting unpin
   };
 
   [[nodiscard]] Shard& shard_of(std::uint64_t block) noexcept {
     return shards_[block % shards_.size()];
   }
+  static constexpr std::size_t kNoFrame = ~std::size_t{0};
+  /// Waits on the shard's CondVar for an unpin. The first wait of a pin()
+  /// sets `refuse_at`; returns false once it has passed. noexcept: a wait
+  /// that fails on the shard mutex leaves nothing to recover.
+  bool wait_for_unpin_locked(
+      Shard& sh, std::chrono::steady_clock::time_point& refuse_at) noexcept
+      SMPST_REQUIRES(sh.mutex);
   /// Picks a frame for a new block: free-list first, then a policy victim.
-  /// Sets `evicted` when a mapped block was displaced. Throws StorageError
-  /// when every frame is pinned or loading.
-  std::size_t claim_frame_locked(Shard& sh, bool& evicted)
+  /// Sets `evicted` when a mapped block was displaced. When every frame is
+  /// pinned or loading, waits for an unpin and returns kNoFrame, so the
+  /// caller repeats its lookup; once `refuse_at` has passed, counts a
+  /// refusal and throws StorageError instead.
+  std::size_t claim_frame_locked(
+      Shard& sh, bool& evicted,
+      std::chrono::steady_clock::time_point& refuse_at)
       SMPST_REQUIRES(sh.mutex);
   void read_block(std::uint64_t block, std::byte* dst);
 

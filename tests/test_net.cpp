@@ -29,6 +29,7 @@
 #include "service/graph_registry.hpp"
 #include "service/session.hpp"
 #include "service/wire.hpp"
+#include "support/failpoint.hpp"
 #include "support/prng.hpp"
 
 namespace smpst::net {
@@ -575,6 +576,13 @@ TEST(SessionOffload, DefersInputWhileHeavyCommandRunsAndReplaysInOrder) {
         out.push_back(std::move(line));
       },
       opts);
+  // Hold the gen at the registry for 200 ms, so both lines behind it arrive
+  // while it is in flight; a small gen can otherwise finish first and leave
+  // only the two deferred lines pending.
+  fail::enable("service.registry.put", "delay(200)");
+  struct Disarm {
+    ~Disarm() { fail::disable_all(); }
+  } disarm;
   session->on_line("gen name=x family=torus-rowmajor n=1024 seed=1");
   // The reader thread returns immediately; the lines behind the gen defer.
   session->on_line("query graph=x algo=bfs");

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -105,6 +106,35 @@ TEST(BlockCache, RefusesEvictionWhenEveryFrameIsPinned) {
   cache.unpin(1);  // frees a victim; the next miss must now succeed
   (void)cache.pin(2);
   cache.unpin(2);
+  cache.unpin(0);
+}
+
+// A miss in a full shard waits for another thread's unpin instead of
+// refusing: p workers holding one span each share a two-frame shard.
+TEST(BlockCache, MissWaitsForAnotherThreadsUnpin) {
+  const Graph g = medium_graph();
+  const std::string path = csr_path_for(g, "waits");
+  BlockCacheOptions opts;
+  opts.block_bytes = 64;
+  opts.budget_bytes = 1;  // floors at two frames
+  opts.shards = 1;
+  BlockCache cache(path, fs::file_size(path), opts);
+  ASSERT_EQ(cache.num_frames(), 2u);
+
+  (void)cache.pin(0);
+  (void)cache.pin(1);
+  std::atomic<bool> pinned{false};
+  std::thread waiter([&] {
+    (void)cache.pin(2);
+    pinned.store(true, std::memory_order_release);
+    cache.unpin(2);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pinned.load(std::memory_order_acquire));
+  cache.unpin(1);
+  waiter.join();
+  EXPECT_TRUE(pinned.load(std::memory_order_acquire));
+  EXPECT_EQ(cache.stats().pin_refusals, 0u);
   cache.unpin(0);
 }
 
