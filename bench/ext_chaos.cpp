@@ -170,7 +170,7 @@ int main(int argc, char** argv) try {
               kAlgos[rng.next_bounded(std::size(kAlgos))];
           req.seed = rng.next();
           // Mix of no deadline, generous, and tight deadlines: the tight
-          // ones exercise cancellation and the watchdog under faults.
+          // ones exercise cancellation under faults.
           const auto roll = rng.next_bounded(4);
           req.timeout_ms =
               roll == 0 ? -1 : (roll == 1 ? 2000 : static_cast<std::int64_t>(
@@ -211,10 +211,9 @@ int main(int argc, char** argv) try {
               static_cast<unsigned long long>(s.not_found),
               static_cast<unsigned long long>(s.failed),
               static_cast<unsigned long long>(s.invalid));
-  std::printf("recovery: retries=%llu degraded=%llu watchdog_cancels=%llu\n",
+  std::printf("recovery: retries=%llu degraded=%llu\n",
               static_cast<unsigned long long>(s.retries),
-              static_cast<unsigned long long>(s.degraded),
-              static_cast<unsigned long long>(s.watchdog_cancels));
+              static_cast<unsigned long long>(s.degraded));
   for (const auto& [name, counts] : tally) {
     std::printf("site %-32s hits=%llu fires=%llu\n", name.c_str(),
                 static_cast<unsigned long long>(counts.first),

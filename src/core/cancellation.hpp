@@ -29,7 +29,7 @@ class CancelToken {
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
 
-  /// Explicit cancellation, e.g. from an admission-control watchdog.
+  /// Explicit cancellation, independent of any deadline.
   void request_cancel() noexcept {
     cancelled_.store(true, std::memory_order_release);
   }

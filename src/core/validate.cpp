@@ -17,9 +17,11 @@ ValidationReport fail(std::string msg) {
   return r;
 }
 
-/// Connected-component count via BFS over the storage interface — the same
-/// labelling graph/stats.hpp computes for Graph, written against neighbors()
-/// only so the blocked backend validates with the identical oracle.
+}  // namespace
+
+/// The same labelling graph/stats.hpp computes for Graph, written against
+/// neighbors() only so the blocked backend validates with the identical
+/// oracle.
 template <storage::GraphStorage GS>
 VertexId count_components(const GS& g) {
   const VertexId n = g.num_vertices();
@@ -44,8 +46,6 @@ VertexId count_components(const GS& g) {
   }
   return components;
 }
-
-}  // namespace
 
 template <storage::GraphStorage GS>
 ValidationReport validate_spanning_forest(const GS& g,
@@ -132,5 +132,7 @@ template ValidationReport validate_spanning_forest(const Graph&,
                                                    const SpanningForest&);
 template ValidationReport validate_spanning_forest(
     const storage::BlockedGraph&, const SpanningForest&);
+template VertexId count_components(const Graph&);
+template VertexId count_components(const storage::BlockedGraph&);
 
 }  // namespace smpst

@@ -33,4 +33,10 @@ template <storage::GraphStorage GS>
 ValidationReport validate_spanning_forest(const GS& g,
                                           const SpanningForest& forest);
 
+/// Connected-component count by BFS over neighbors(): the number of trees
+/// every spanning forest of `g` must have. Instantiated for Graph and
+/// storage::BlockedGraph.
+template <storage::GraphStorage GS>
+VertexId count_components(const GS& g);
+
 }  // namespace smpst

@@ -4,6 +4,7 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/algorithms.hpp"
@@ -19,6 +20,18 @@
 namespace smpst::service {
 
 namespace {
+
+/// Extra attempts after a thrown attempt. A CancelledError (deadline) is
+/// never retried.
+constexpr std::size_t kMaxRetries = 2;
+
+/// Backoff before the first retry; doubles per retry, capped by any remaining
+/// deadline budget.
+constexpr std::chrono::milliseconds kRetryBackoff{1};
+
+/// Longest accepted timeout. A larger one would overflow the nanosecond
+/// deadline arithmetic and wrap into the past.
+constexpr std::int64_t kMaxTimeoutMs = 24LL * 60 * 60 * 1000;  // one day
 
 double ms_between(std::chrono::steady_clock::time_point from,
                   std::chrono::steady_clock::time_point to) noexcept {
@@ -36,7 +49,6 @@ class InvalidResultError : public std::runtime_error {
 ExecutorOptions sanitized(ExecutorOptions opts) {
   opts.num_workers = std::max<std::size_t>(1, opts.num_workers);
   opts.queue_capacity = std::max<std::size_t>(1, opts.queue_capacity);
-  opts.watchdog_poll_ms = std::max<std::size_t>(1, opts.watchdog_poll_ms);
   return opts;
 }
 
@@ -61,69 +73,22 @@ std::pair<QueryExecutor::Completion, std::future<QueryResult>> promised() {
 
 }  // namespace
 
-/// Publishes the in-flight query's CancelToken and hard deadline to the
-/// slot's watch entry so the watchdog thread can hard-cancel an overrun; the
-/// destructor withdraws it before the token leaves scope.
-class QueryExecutor::WatchGuard {
- public:
-  WatchGuard(QueryExecutor& executor, std::size_t slot, CancelToken& token,
-             bool has_deadline, std::chrono::steady_clock::time_point enqueued,
-             std::int64_t timeout_ms)
-      : watch_(*executor.watches_[slot]) {
-    if (!has_deadline || executor.opts_.watchdog_factor <= 1.0) return;
-    const auto budget = std::chrono::duration<double, std::milli>(
-        static_cast<double>(timeout_ms) * executor.opts_.watchdog_factor);
-    LockGuard<Mutex> lk(watch_.mutex);
-    watch_.token = &token;
-    watch_.hard_deadline =
-        enqueued +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            budget);
-    watch_.cancelled = false;
-    active_ = true;
-  }
-
-  ~WatchGuard() {
-    if (!active_) return;
-    LockGuard<Mutex> lk(watch_.mutex);
-    watch_.token = nullptr;
-  }
-
-  WatchGuard(const WatchGuard&) = delete;
-  WatchGuard& operator=(const WatchGuard&) = delete;
-
-  [[nodiscard]] bool fired() const {
-    LockGuard<Mutex> lk(watch_.mutex);
-    return watch_.cancelled;
-  }
-
- private:
-  SlotWatch& watch_;
-  bool active_ = false;
-};
-
 QueryExecutor::QueryExecutor(GraphRegistry& registry, ExecutorOptions opts)
     : registry_(registry),
       opts_(sanitized(opts)),
-      queue_(opts_.queue_capacity),
-      paused_(opts_.start_paused) {
+      queue_(opts_.queue_capacity) {
   const std::size_t workers = opts_.num_workers;
   threads_per_query_ =
       opts_.threads_per_query != 0
           ? opts_.threads_per_query
           : std::max<std::size_t>(1, hardware_threads() / workers);
   pools_.reserve(workers);
-  watches_.reserve(workers);
   for (std::size_t s = 0; s < workers; ++s) {
     pools_.push_back(std::make_unique<ThreadPool>(threads_per_query_));
-    watches_.push_back(std::make_unique<SlotWatch>());
   }
   workers_.reserve(workers);
   for (std::size_t s = 0; s < workers; ++s) {
     workers_.emplace_back([this, s] { worker_loop(s); });
-  }
-  if (opts_.watchdog_factor > 1.0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
   }
 }
 
@@ -243,28 +208,13 @@ bool QueryExecutor::drain(std::chrono::milliseconds timeout) {
   return true;
 }
 
-void QueryExecutor::resume() {
-  {
-    LockGuard<Mutex> lk(pause_mutex_);
-    paused_ = false;
-  }
-  pause_cv_.notify_all();
-}
-
 void QueryExecutor::shutdown() {
   // acq_rel: the winner's subsequent close/join sequence must not be
   // reordered before the claim, and a losing caller must observe the
   // winner's prior writes before returning into teardown.
   if (shut_down_.exchange(true, std::memory_order_acq_rel)) return;
   queue_.close();
-  resume();  // a paused worker must still drain and exit
   for (auto& w : workers_) w.join();
-  {
-    LockGuard<Mutex> lk(watchdog_mutex_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
 }
 
 ServiceStats QueryExecutor::stats() const {
@@ -279,42 +229,9 @@ ServiceStats QueryExecutor::stats() const {
   s.invalid = invalid_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   s.degraded = degraded_.load(std::memory_order_relaxed);
-  s.watchdog_cancels = watchdog_cancels_.load(std::memory_order_relaxed);
   s.latency = latency_.snapshot();
   s.registry = registry_.stats();
   return s;
-}
-
-void QueryExecutor::wait_if_paused() {
-  LockGuard<Mutex> lk(pause_mutex_);
-  while (paused_) pause_cv_.wait(pause_mutex_);
-}
-
-void QueryExecutor::watchdog_loop() {
-  const auto poll = std::chrono::milliseconds(opts_.watchdog_poll_ms);
-  for (;;) {
-    {
-      // Sleep one poll period, or until shutdown() interrupts the nap. The
-      // deadline re-arms each iteration, so a spurious wake just re-sleeps.
-      const auto wake_at = std::chrono::steady_clock::now() + poll;
-      LockGuard<Mutex> lk(watchdog_mutex_);
-      while (!watchdog_stop_ &&
-             watchdog_cv_.wait_until(watchdog_mutex_, wake_at) !=
-                 std::cv_status::timeout) {
-      }
-      if (watchdog_stop_) return;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    for (auto& watch : watches_) {
-      LockGuard<Mutex> wl(watch->mutex);
-      if (watch->token != nullptr && !watch->cancelled &&
-          now >= watch->hard_deadline) {
-        watch->cancelled = true;
-        watch->token->request_cancel();
-        watchdog_cancels_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
 }
 
 void QueryExecutor::worker_loop(std::size_t slot) {
@@ -327,7 +244,6 @@ void QueryExecutor::worker_loop(std::size_t slot) {
   obs::Gauge& m_inflight = reg.gauge("service.inflight");
   obs::LatencyHistogram& m_latency = reg.histogram("service.latency_ms");
   for (;;) {
-    wait_if_paused();
     Item item;
     try {
       if (!queue_.pop(item)) return;
@@ -362,7 +278,7 @@ void QueryExecutor::worker_loop(std::size_t slot) {
     std::string failure;
     try {
       SMPST_FAILPOINT("service.executor.dequeue");
-      result = execute(item, *pools_[slot], slot);
+      result = execute(item, *pools_[slot]);
       SMPST_FAILPOINT("service.executor.respond");
     } catch (const std::exception& e) {
       failure = std::string("worker exception: ") + e.what();
@@ -408,8 +324,7 @@ void QueryExecutor::worker_loop(std::size_t slot) {
   }
 }
 
-QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
-                                   std::size_t slot) {
+QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool) {
   SMPST_TRACE_SCOPE("query.execute");
   const SpanningTreeRequest& req = item.req;
   QueryResult r;
@@ -417,11 +332,6 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
   r.algorithm = req.algorithm;
   r.stats_requested = req.want_stats;
   r.queue_ms = ms_between(item.enqueued, std::chrono::steady_clock::now());
-
-  const bool has_deadline = req.timeout_ms >= 0;
-  const auto deadline =
-      item.enqueued + std::chrono::milliseconds(has_deadline ? req.timeout_ms
-                                                             : 0);
   auto finish = [&](QueryStatus status, std::string error) {
     r.status = status;
     r.error = std::move(error);
@@ -434,6 +344,14 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
            "unknown algorithm: " + req.algorithm);
     return r;
   }
+  if (req.timeout_ms > kMaxTimeoutMs) {
+    finish(QueryStatus::kInvalidArgument, "timeout exceeds one day");
+    return r;
+  }
+  const bool has_deadline = req.timeout_ms >= 0;
+  const auto deadline =
+      item.enqueued + std::chrono::milliseconds(has_deadline ? req.timeout_ms
+                                                             : 0);
   // Pre-dispatch admission: an already-expired deadline (notably 0 ms) never
   // starts the traversal, so the timed-out outcome is deterministic.
   CancelToken token;
@@ -444,22 +362,15 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
       return r;
     }
   }
-  WatchGuard watch(*this, slot, token, has_deadline, item.enqueued,
-                   req.timeout_ms);
-  auto timeout_error = [&]() -> std::string {
-    if (!watch.fired()) return "deadline expired mid-traversal";
-    r.watchdog_cancelled = true;
-    return "hard-cancelled by watchdog after overrunning the deadline";
-  };
-
   WallTimer exec_timer;
   std::string last_error;
   bool invalid_result = false;
 
   // The one run-on-graph step, taken by every attempt and by the degradation
   // run: look up the graph, check the root, run `algorithm` on whichever
-  // backend holds the graph, re-root, and validate if asked (or in paranoid
-  // mode). An invalid forest counts as a thrown attempt. kFinished: the
+  // backend holds the graph, re-root, compare the tree count with the
+  // graph's component count, and validate if asked (or in paranoid mode).
+  // An invalid forest counts as a thrown attempt. kFinished: the
   // lookup, the root check or a cancellation has already finished `r`.
   enum class Step { kServed, kThrew, kUnsupported, kFinished };
   auto run_on_graph = [&](const std::string& algorithm) -> Step {
@@ -492,6 +403,23 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
           r.forest = run_algorithm(algorithm, g, pool, run);
         }
         if (req.root != kInvalidVertex) reroot(r.forest, req.root);
+        if (SMPST_FAILPOINT_TRIGGERED("service.executor.exit_invariant")) {
+          // Split one tree, which the exit invariant below must catch.
+          auto& parent = r.forest.parent;
+          for (VertexId v = 0; v < parent.size(); ++v) {
+            if (parent[v] != v) {
+              parent[v] = v;
+              break;
+            }
+          }
+        }
+        r.num_trees = r.forest.num_trees();
+        if (r.num_trees != graph.components) {
+          throw InvalidResultError(
+              "forest has " + std::to_string(r.num_trees) +
+              " trees but graph has " + std::to_string(graph.components) +
+              " components");
+        }
         if (req.validate || opts_.paranoid_validate) {
           SMPST_TRACE_SCOPE("query.validate");
           r.validated = true;
@@ -501,7 +429,6 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
                                      r.validation.error);
           }
         }
-        r.num_trees = r.forest.num_trees();
       };
       if (graph.resident != nullptr) {
         run_on(*graph.resident);
@@ -510,7 +437,7 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
       }
       return Step::kServed;
     } catch (const CancelledError&) {
-      finish(QueryStatus::kTimedOut, timeout_error());
+      finish(QueryStatus::kTimedOut, "deadline expired mid-traversal");
       return Step::kFinished;
     } catch (const InvalidResultError& e) {
       invalid_result = true;
@@ -522,13 +449,11 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
     return Step::kThrew;
   };
 
-  const std::size_t max_attempts = 1 + opts_.max_retries;
   Step step = Step::kThrew;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
+  for (std::size_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
     if (attempt > 0) {
       retries_.fetch_add(1, std::memory_order_relaxed);
-      auto backoff = std::chrono::milliseconds(
-          opts_.retry_backoff_ms << (attempt - 1));
+      auto backoff = kRetryBackoff * (1 << (attempt - 1));
       if (has_deadline) {
         const auto now = std::chrono::steady_clock::now();
         if (now >= deadline) {
@@ -554,9 +479,8 @@ QueryResult QueryExecutor::execute(Item& item, ThreadPool& pool,
   // than failing it, when every attempt at a parallel algorithm threw or
   // produced an invalid forest, or at once (no retries) when the graph is
   // blocked and the algorithm has no blocked instantiation (dfs, hcs).
-  if (opts_.degrade_to_sequential &&
-      ((step == Step::kThrew && spec->parallel) ||
-       step == Step::kUnsupported)) {
+  if ((step == Step::kThrew && spec->parallel) ||
+      step == Step::kUnsupported) {
     step = run_on_graph("bfs");
     if (step == Step::kServed) {
       r.degraded = true;

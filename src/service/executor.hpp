@@ -7,10 +7,10 @@
 // that is reused by every parallel query it executes — thread creation is
 // paid once at startup, exactly the property the paper's benchmark harness
 // relies on, now extended to a multi-tenant serving context. Deadlines are
-// enforced three ways: pre-dispatch (an expired request is never run, so a
-// 0 ms deadline deterministically times out), in-flight via the CancelToken
-// hooks in the traversal loops, and by a watchdog thread that hard-cancels
-// queries overrunning their deadline by more than watchdog_factor.
+// cooperative and enforced at three points: pre-dispatch (an expired request
+// is never run, so a 0 ms deadline deterministically times out), in flight
+// via the CancelToken hooks in the traversal loops, and at completion (a
+// late forest is answered kTimedOut).
 //
 // Execution is exception-safe end to end: worker threads contain every
 // exception (a thrown attempt is retried with backoff, then degraded to the
@@ -36,7 +36,6 @@
 #include "support/thread_annotations.hpp"
 
 namespace smpst {
-class CancelToken;
 class ThreadPool;
 }
 
@@ -52,29 +51,6 @@ struct ExecutorOptions {
 
   /// Bounded request-queue depth; submissions beyond it are rejected.
   std::size_t queue_capacity = 64;
-
-  /// When true, workers do not dequeue until resume() — lets tests fill the
-  /// queue deterministically.
-  bool start_paused = false;
-
-  /// Extra execution attempts after a thrown attempt (0 = fail fast). A
-  /// CancelledError (deadline) is never retried.
-  std::size_t max_retries = 2;
-
-  /// Backoff before the first retry; doubles per retry, capped by any
-  /// remaining deadline budget.
-  std::size_t retry_backoff_ms = 1;
-
-  /// After retries are exhausted, run the sequential BFS fallback instead of
-  /// failing the query outright (parallel algorithms only).
-  bool degrade_to_sequential = true;
-
-  /// A query whose age exceeds watchdog_factor × its deadline is
-  /// hard-cancelled by the watchdog thread. <= 1 disables the watchdog.
-  double watchdog_factor = 4.0;
-
-  /// Watchdog scan period.
-  std::size_t watchdog_poll_ms = 5;
 
   /// Validate every successful result (even when the request did not ask);
   /// a forest that fails validation surfaces as kInvalid instead of kOk.
@@ -92,9 +68,8 @@ struct ServiceStats {
   std::uint64_t failed = 0;   ///< kError + kInvalidArgument + kFailed outcomes
   std::uint64_t invalid = 0;  ///< kInvalid (paranoid validation rejections)
 
-  std::uint64_t retries = 0;           ///< retry attempts consumed
-  std::uint64_t degraded = 0;          ///< queries served by the fallback
-  std::uint64_t watchdog_cancels = 0;  ///< watchdog hard-cancellations
+  std::uint64_t retries = 0;   ///< retry attempts consumed
+  std::uint64_t degraded = 0;  ///< queries served by the fallback
 
   obs::LatencyHistogram::Snapshot latency;  ///< total_ms of executed requests
   GraphRegistry::Stats registry;
@@ -145,18 +120,13 @@ class QueryExecutor {
   /// A throwing task is contained, never propagated.
   [[nodiscard]] bool submit_task(std::function<void()> task);
 
-  /// Releases workers when constructed with start_paused.
-  void resume();
-
   /// Stops admissions, drains accepted requests, joins workers. Idempotent.
   void shutdown();
 
   /// Blocks until every accepted request has completed (its completion
   /// invoked) or `timeout` elapses; does NOT stop admissions —
   /// the caller is expected to have stopped submitting. Returns true when the
-  /// executor went idle within the deadline. The watchdog keeps hard-
-  /// cancelling overrunning queries meanwhile, which is what bounds a drain
-  /// of deadlined traffic.
+  /// executor went idle within the deadline.
   bool drain(std::chrono::milliseconds timeout);
 
   /// Requests currently queued (admission headroom = capacity - depth).
@@ -189,24 +159,8 @@ class QueryExecutor {
     std::function<void()> task;
   };
 
-  /// Per-slot in-flight query descriptor, published for the watchdog.
-  struct SlotWatch {
-    Mutex mutex{lockdep::rank::kExecutorSlotWatch};
-    /// Non-null while a deadlined query runs.
-    CancelToken* token SMPST_GUARDED_BY(mutex) = nullptr;
-    std::chrono::steady_clock::time_point hard_deadline
-        SMPST_GUARDED_BY(mutex){};
-    /// Watchdog fired on the current query.
-    bool cancelled SMPST_GUARDED_BY(mutex) = false;
-  };
-
-  /// RAII registration of the running query with the slot's watch entry.
-  class WatchGuard;
-
   void worker_loop(std::size_t slot);
-  void watchdog_loop();
-  QueryResult execute(Item& item, ThreadPool& pool, std::size_t slot);
-  void wait_if_paused();
+  QueryResult execute(Item& item, ThreadPool& pool);
   void admit(std::vector<Item> items, std::string reject_reason);
   void finish_pending();
 
@@ -215,19 +169,9 @@ class QueryExecutor {
   std::size_t threads_per_query_ = 1;
   BoundedQueue<Item> queue_;
 
-  Mutex pause_mutex_{lockdep::rank::kExecutorPause};
-  CondVar pause_cv_;
-  bool paused_ SMPST_GUARDED_BY(pause_mutex_) = false;
-
   std::atomic<bool> shut_down_{false};
   std::vector<std::unique_ptr<ThreadPool>> pools_;
-  std::vector<std::unique_ptr<SlotWatch>> watches_;
   std::vector<std::thread> workers_;
-
-  Mutex watchdog_mutex_{lockdep::rank::kExecutorWatchdog};
-  CondVar watchdog_cv_;
-  bool watchdog_stop_ SMPST_GUARDED_BY(watchdog_mutex_) = false;
-  std::thread watchdog_;
 
   /// Accepted-but-not-completed count; drain() waits for it to hit zero.
   std::atomic<std::size_t> pending_{0};
@@ -244,7 +188,6 @@ class QueryExecutor {
   std::atomic<std::uint64_t> invalid_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> degraded_{0};
-  std::atomic<std::uint64_t> watchdog_cancels_{0};
   obs::LatencyHistogram latency_;
 };
 

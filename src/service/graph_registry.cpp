@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/validate.hpp"
 #include "gen/registry.hpp"
 #include "graph/io.hpp"
 #include "storage/blocked_graph.hpp"
@@ -27,6 +28,7 @@ std::shared_ptr<const Graph> GraphRegistry::put(const std::string& name,
   Entry entry;
   entry.graph = stored;
   entry.bytes = stored->memory_bytes();
+  entry.components = count_components(*stored);
   LockGuard<Mutex> lk(mutex_);
   insert_locked(name, std::move(entry));
   return stored;
@@ -35,13 +37,14 @@ std::shared_ptr<const Graph> GraphRegistry::put(const std::string& name,
 std::shared_ptr<const storage::BlockedGraph> GraphRegistry::open_blocked(
     const std::string& name, const std::string& path,
     const storage::BlockCacheOptions& cache_opts) {
-  // Open outside the lock: header validation and cache setup touch the disk.
+  // Open and count outside the lock: both touch the disk.
   auto stored = std::make_shared<const storage::BlockedGraph>(path, cache_opts);
   Entry entry;
   entry.blocked = stored;
   // The charge is the cache budget plus metadata — NOT the CSR payload. This
   // is what lets a graph bigger than the registry budget stay registered.
   entry.bytes = stored->memory_bytes();
+  entry.components = count_components(*stored);
   LockGuard<Mutex> lk(mutex_);
   insert_locked(name, std::move(entry));
   return stored;
@@ -70,7 +73,7 @@ GraphRegistry::GraphHandle GraphRegistry::get_any(const std::string& name) {
   }
   ++hits_;
   it->second.last_use = ++tick_;
-  return {it->second.graph, it->second.blocked};
+  return {it->second.graph, it->second.blocked, it->second.components};
 }
 
 std::shared_ptr<const Graph> GraphRegistry::load_file(const std::string& name,

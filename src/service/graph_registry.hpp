@@ -53,6 +53,9 @@ class GraphRegistry {
   struct GraphHandle {
     std::shared_ptr<const Graph> resident;
     std::shared_ptr<const storage::BlockedGraph> blocked;
+    /// Connected components, counted once at registration: the tree count
+    /// every spanning forest of this graph must have.
+    VertexId components = 0;
 
     explicit operator bool() const noexcept {
       return resident != nullptr || blocked != nullptr;
@@ -125,6 +128,7 @@ class GraphRegistry {
     std::shared_ptr<const Graph> graph;  ///< resident backend (may be null)
     std::shared_ptr<const storage::BlockedGraph> blocked;  ///< disk backend
     std::size_t bytes = 0;  ///< charge at insert time (stable per entry)
+    VertexId components = 0;
     std::uint64_t last_use = 0;
   };
 

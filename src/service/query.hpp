@@ -91,10 +91,6 @@ struct QueryResult {
   /// requested algorithm (every retry of the requested algorithm threw).
   bool degraded = false;
 
-  /// The executor's watchdog hard-cancelled this query for overrunning its
-  /// deadline by more than the configured factor.
-  bool watchdog_cancelled = false;
-
   double queue_ms = 0.0;  ///< submission -> dequeue by a worker
   double exec_ms = 0.0;   ///< algorithm run time (all attempts)
   double total_ms = 0.0;  ///< submission -> result ready

@@ -263,7 +263,6 @@ std::string render_result(const QueryResult& r) {
     w.field("attempts", static_cast<std::uint64_t>(r.attempts));
   }
   if (r.degraded) w.field("degraded", true);
-  if (r.watchdog_cancelled) w.field("watchdog_cancelled", true);
   // Gate on the request flag, not on whether stats data is present: a
   // stats=false query must get the plain response shape even when the run
   // left per-thread entries behind.
@@ -290,7 +289,6 @@ std::string render_stats(const ServiceStats& s) {
   w.field("invalid", s.invalid);
   w.field("retries", s.retries);
   w.field("degraded", s.degraded);
-  w.field("watchdog_cancels", s.watchdog_cancels);
   w.field("latency_count", s.latency.count);
   w.field("latency_mean_ms", s.latency.mean_ms);
   w.field("latency_p50_ms", s.latency.percentile(50));

@@ -43,16 +43,13 @@ struct Rank {
 
 // The global acquisition order. Nested acquisitions must move strictly down
 // this table (increasing order). Two locks of the same rank never nest —
-// instances of the same class (sessions, slot watches, queue spinlocks) are
+// instances of the same class (sessions, cache shards, queue spinlocks) are
 // only ever held one at a time. Gaps are deliberate headroom for new locks.
 namespace rank {
 inline constexpr Rank kPoolRegion{10, "sched.pool.region"};
 inline constexpr Rank kSession{20, "service.session"};
 inline constexpr Rank kNetMailbox{30, "net.mailbox"};
-inline constexpr Rank kExecutorPause{40, "service.executor.pause"};
-inline constexpr Rank kExecutorWatchdog{41, "service.executor.watchdog"};
 inline constexpr Rank kExecutorDrain{42, "service.executor.drain"};
-inline constexpr Rank kExecutorSlotWatch{43, "service.executor.slot_watch"};
 inline constexpr Rank kBoundedQueue{50, "service.bounded_queue"};
 inline constexpr Rank kGraphRegistry{55, "service.graph_registry"};
 inline constexpr Rank kStorageCacheShard{57, "storage.block_cache.shard"};

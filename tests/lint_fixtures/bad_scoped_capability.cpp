@@ -8,25 +8,25 @@
 
 namespace fixture {
 
-class SMPST_SCOPED_CAPABILITY WatchGuard {
+class SMPST_SCOPED_CAPABILITY ShardGuard {
  public:
-  explicit WatchGuard(smpst::SpinLock& l) SMPST_ACQUIRE(l) : lock_(l) {
+  explicit ShardGuard(smpst::SpinLock& l) SMPST_ACQUIRE(l) : lock_(l) {
     lock_.lock();
   }
-  ~WatchGuard() SMPST_RELEASE() { lock_.unlock(); }
+  ~ShardGuard() SMPST_RELEASE() { lock_.unlock(); }
 
  private:
   smpst::SpinLock& lock_;
 };
 
 void bad_custom_guard(smpst::SpinLock& lock) {
-  WatchGuard g(lock);
+  ShardGuard g(lock);
   SMPST_FAILPOINT("fixture.custom_guard");  // SL002
 }
 
 void good_after_scope(smpst::SpinLock& lock) {
   {
-    WatchGuard g{lock};
+    ShardGuard g{lock};
   }
   SMPST_FAILPOINT("fixture.custom_released");  // guard destroyed: no finding
 }

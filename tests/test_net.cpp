@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util/zipf.hpp"
+#include "parked_workers.hpp"
 #include "gen/registry.hpp"
 #include "net/tcp_server.hpp"
 #include "service/codec.hpp"
@@ -379,13 +380,14 @@ TEST(TcpLoopback, ExecutorOverloadShedsWithTypedErrorAndRetryHint) {
   service::ExecutorOptions eopts = ServerHarness::default_executor_options();
   eopts.num_workers = 1;
   eopts.queue_capacity = 1;
-  eopts.start_paused = true;  // hold the queue full so sheds are deterministic
   ServerHarness server(eopts);
+  // Hold the queue full so sheds are deterministic.
+  service::ParkedWorkers parked(server.executor(), eopts.num_workers);
   TestClient c(server.port());
   ASSERT_TRUE(c.connected());
   ASSERT_TRUE(c.send_all(kQuery + kQuery + kQuery + kQuery));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  server.executor().resume();
+  parked.release();
   // Slot ordering: the accepted query answers first, then the three sheds.
   EXPECT_EQ(c.read_response().at("status"), "ok");
   for (int i = 0; i < 3; ++i) {
@@ -617,8 +619,9 @@ TEST(SessionOffload, ShedsHeavyCommandWithTypedErrorWhenQueueIsFull) {
   eopts.num_workers = 1;
   eopts.threads_per_query = 1;
   eopts.queue_capacity = 1;
-  eopts.start_paused = true;  // nothing dequeues: the queue fills for real
   service::QueryExecutor executor(registry, eopts);
+  // Nothing dequeues: the queue fills for real.
+  service::ParkedWorkers parked(executor, eopts.num_workers);
   std::mutex out_mutex;
   std::vector<std::string> out;
   service::SessionOptions opts;
@@ -641,7 +644,7 @@ TEST(SessionOffload, ShedsHeavyCommandWithTypedErrorWhenQueueIsFull) {
     EXPECT_EQ(f.at("code"), "overloaded");
     EXPECT_TRUE(f.count("retry_after_ms") != 0);
   }
-  executor.resume();
+  parked.release();
   (void)future.get();
 }
 

@@ -290,7 +290,7 @@ TEST(WireHardening, FuzzedLinesThrowOrParseNeverCrash) {
 }
 
 // --------------------------------------------------------------------------
-// Executor: exception containment, retry, degradation, watchdog.
+// Executor: exception containment, retry, degradation, deadlines.
 
 class ExecutorChaosTest : public FailpointTest {
  protected:
@@ -325,7 +325,6 @@ TEST_F(ExecutorChaosTest, OneShotExecuteFaultIsRetriedToSuccess) {
   ExecutorOptions opts;
   opts.num_workers = 1;
   opts.threads_per_query = 1;
-  opts.max_retries = 2;
   QueryExecutor executor(registry, opts);
   fail::enable("service.executor.execute", "1*throw");
   const QueryResult r = executor.submit(request()).get();
@@ -339,13 +338,12 @@ TEST_F(ExecutorChaosTest, PersistentAlgorithmFaultDegradesToSequential) {
   ExecutorOptions opts;
   opts.num_workers = 1;
   opts.threads_per_query = 2;
-  opts.max_retries = 1;
   QueryExecutor executor(registry, opts);
   fail::enable("core.bader_cong.expand", "throw");
   const QueryResult r = executor.submit(request("bader-cong")).get();
   EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_TRUE(r.degraded);
-  EXPECT_EQ(r.attempts, 2u);  // 1 + max_retries, all thrown
+  EXPECT_EQ(r.attempts, 3u);  // 1 + two retries, all thrown
   EXPECT_EQ(r.forest.num_trees(), 1u);
   const ServiceStats s = executor.stats();
   EXPECT_EQ(s.served_ok, 1u);
@@ -356,8 +354,6 @@ TEST_F(ExecutorChaosTest, ExhaustedRetriesWithoutFallbackIsTypedFailure) {
   ExecutorOptions opts;
   opts.num_workers = 1;
   opts.threads_per_query = 1;
-  opts.max_retries = 1;
-  opts.degrade_to_sequential = false;
   QueryExecutor executor(registry, opts);
   fail::enable("service.executor.execute", "throw");
   const QueryResult r = executor.submit(request()).get();
@@ -379,27 +375,39 @@ TEST_F(ExecutorChaosTest, AdmissionFaultResolvesFutureAsRejected) {
   EXPECT_EQ(executor.stats().rejected, 1u);
 }
 
-TEST_F(ExecutorChaosTest, WatchdogHardCancelsOverrunningQuery) {
+TEST_F(ExecutorChaosTest, StalledAttemptPastDeadlineTimesOut) {
   ExecutorOptions opts;
   opts.num_workers = 1;
   opts.threads_per_query = 1;
-  opts.max_retries = 0;
-  opts.watchdog_factor = 2.0;
-  opts.watchdog_poll_ms = 1;
   QueryExecutor executor(registry, opts);
-  // The injected 1 s stall ignores the token, exactly like a wedged
-  // traversal; the 10 ms deadline's hard limit (20 ms) must trip the
-  // watchdog while the query is stuck.  The stall is much longer than the
-  // hard limit so the watchdog thread still wins the race on oversubscribed
-  // or sanitizer-slowed runs (TSan at ctest -j can starve it for hundreds
-  // of milliseconds).
-  fail::enable("service.executor.execute", "1*delay(1000)");
+  // The injected 200 ms stall ignores the token, exactly like a wedged
+  // traversal. Deadlines are cooperative: the attempt's own deadline check
+  // answers kTimedOut once the stall ends.
+  fail::enable("service.executor.execute", "1*delay(200)");
   SpanningTreeRequest req = request();
   req.timeout_ms = 10;
   const QueryResult r = executor.submit(std::move(req)).get();
   EXPECT_EQ(r.status, QueryStatus::kTimedOut);
-  EXPECT_TRUE(r.watchdog_cancelled);
-  EXPECT_GE(executor.stats().watchdog_cancels, 1u);
+}
+
+// The exit invariant compares every forest's tree count with the component
+// count the registry took at load. A forest split by the failpoint fails it
+// on every attempt and on the degradation run, so the query is kInvalid.
+TEST_F(ExecutorChaosTest, ExitInvariantRejectsForestWithExtraTree) {
+  ExecutorOptions opts;
+  opts.num_workers = 1;
+  opts.threads_per_query = 2;
+  QueryExecutor executor(registry, opts);
+  fail::enable("service.executor.exit_invariant", "wake");
+  const QueryResult bad = executor.submit(request()).get();
+  EXPECT_EQ(bad.status, QueryStatus::kInvalid);
+  EXPECT_NE(bad.error.find("trees but graph has"), std::string::npos)
+      << bad.error;
+  fail::disable_all();
+  const QueryResult good = executor.submit(request()).get();
+  EXPECT_EQ(good.status, QueryStatus::kOk) << good.error;
+  EXPECT_EQ(good.num_trees, 1u);
+  EXPECT_EQ(executor.stats().invalid, 1u);
 }
 
 TEST_F(ExecutorChaosTest, ParanoidModeValidatesEveryResult) {

@@ -18,6 +18,7 @@
 #include "service/graph_registry.hpp"
 #include "obs/histogram.hpp"
 #include "service/wire.hpp"
+#include "parked_workers.hpp"
 
 namespace smpst::service {
 namespace {
@@ -327,9 +328,16 @@ TEST(QueryExecutor, UnknownGraphAndAlgorithmAndRoot) {
   EXPECT_EQ(executor.submit(std::move(bad_root)).get().status,
             QueryStatus::kInvalidArgument);
 
+  // About 317 years: out of range, not a deadline wrapped into the past.
+  SpanningTreeRequest huge_timeout;
+  huge_timeout.graph = "g";
+  huge_timeout.timeout_ms = 10'000'000'000'000;
+  EXPECT_EQ(executor.submit(std::move(huge_timeout)).get().status,
+            QueryStatus::kInvalidArgument);
+
   const auto stats = executor.stats();
   EXPECT_EQ(stats.not_found, 1u);
-  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.failed, 3u);
 }
 
 TEST(QueryExecutor, ZeroDeadlineDeterministicallyTimesOut) {
@@ -353,8 +361,8 @@ TEST(QueryExecutor, RejectsWhenQueueIsFull) {
   ExecutorOptions opts = two_workers();
   opts.num_workers = 1;
   opts.queue_capacity = 2;
-  opts.start_paused = true;  // workers hold off so the queue fills
   QueryExecutor executor(registry, opts);
+  ParkedWorkers parked(executor, opts.num_workers);  // so the queue fills
 
   std::vector<std::future<QueryResult>> futures;
   for (int i = 0; i < 5; ++i) {
@@ -367,7 +375,7 @@ TEST(QueryExecutor, RejectsWhenQueueIsFull) {
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get().status,
               QueryStatus::kRejected);
   }
-  executor.resume();
+  parked.release();
   EXPECT_EQ(futures[0].get().status, QueryStatus::kOk);
   EXPECT_EQ(futures[1].get().status, QueryStatus::kOk);
   const auto stats = executor.stats();
@@ -381,8 +389,8 @@ TEST(QueryExecutor, BatchAdmissionIsAtomic) {
   registry.put("g", small_graph());
   ExecutorOptions opts = two_workers();
   opts.queue_capacity = 3;
-  opts.start_paused = true;
   QueryExecutor executor(registry, opts);
+  ParkedWorkers parked(executor, opts.num_workers);
 
   std::vector<SpanningTreeRequest> batch(4);
   for (auto& req : batch) req.graph = "g";
@@ -395,7 +403,7 @@ TEST(QueryExecutor, BatchAdmissionIsAtomic) {
   std::vector<SpanningTreeRequest> fits(3);
   for (auto& req : fits) req.graph = "g";
   auto ok_futures = executor.submit_batch(std::move(fits));
-  executor.resume();
+  parked.release();
   for (auto& fut : ok_futures) {
     EXPECT_EQ(fut.get().status, QueryStatus::kOk);
   }

@@ -414,7 +414,6 @@ TEST(StorageService, ReadFaultBecomesTypedQueryFailure) {
 
   service::ExecutorOptions eopts;
   eopts.num_workers = 1;
-  eopts.max_retries = 1;
   service::QueryExecutor executor(registry, eopts);
 
   fail::enable("storage.block.read", "throw");
@@ -472,7 +471,6 @@ TEST(StorageService, BlockedDfsAndHcsDegradeWithoutRetries) {
   ASSERT_NE(bg, nullptr);
   service::ExecutorOptions eopts;
   eopts.num_workers = 1;
-  eopts.max_retries = 2;
   service::QueryExecutor executor(registry, eopts);
 
   for (const char* algo : {"dfs", "hcs"}) {

@@ -106,7 +106,7 @@ SA4_MUTEX_ALLOWLIST = {
     "BoundedQueue::mutex_",         # try_push/try_pop: O(1), never waits
     "GraphRegistry::mutex_",        # map lookup/insert: no I/O under lock
     "MetricsRegistry::mutex_",      # registry map: O(log n) lookups
-    "SlotWatch::mutex",             # executor slot-watch registration: O(1)
+    "QueryExecutor::drain_mutex_",  # rejection's empty critical section: O(1)
 }
 
 #: SA4: call names that block, with a short reason each.

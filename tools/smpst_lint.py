@@ -86,7 +86,7 @@ LOCK_GUARD_RE = re.compile(
 # User-defined scoped-capability RAII classes (declared with
 # SMPST_SCOPED_CAPABILITY) acquire in their constructor just like LockGuard;
 # their names are collected across the linted set so SL002/SL003 treat a
-# `WatchGuard g(x);` declaration as an acquisition.
+# `ShardGuard g(x);` declaration as an acquisition.
 SCOPED_CAPABILITY_DECL_RE = re.compile(
     r"\b(?:class|struct)\s+SMPST_SCOPED_CAPABILITY\s+(?P<name>\w+)")
 
