@@ -1,10 +1,12 @@
 // Google-benchmark micro-benchmarks of the runtime substrate: PRNG
 // throughput, spinlock round trips, queue operations (SplitQueue vs
-// Chase-Lev), barrier episodes, region launches, and CSR traversal — the
-// constants behind the Helman-JáJá machine parameters.
+// Chase-Lev), the pending counter (shared RMW vs per-worker credit), barrier
+// episodes, region launches, and CSR traversal — the constants behind the
+// Helman-JáJá machine parameters.
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <vector>
 
 #include "core/bfs.hpp"
 #include "sched/parallel_for.hpp"
@@ -13,6 +15,7 @@
 #include "gen/random_graph.hpp"
 #include "sched/barrier.hpp"
 #include "sched/spinlock.hpp"
+#include "sched/termination.hpp"
 #include "sched/work_queue.hpp"
 #include "support/prng.hpp"
 
@@ -78,6 +81,47 @@ void BM_SplitQueueStealHalf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SplitQueueStealHalf);
+
+// The traversal's pending counter at four threads, one item per iteration,
+// each producing 0-2 children (a BFS tree's mean of one). SharedRmw is the
+// acq_rel RMW on the one shared line per item that every expansion used to
+// pay; Credit settles through a worker-private PendingCredit and touches the
+// line only for the excess and the closing flush.
+std::vector<std::int64_t> produced_sequence(std::size_t thread) {
+  Xoshiro256 rng(derive_stream_seed(11, thread));
+  std::vector<std::int64_t> seq(1024);
+  for (auto& k : seq) k = static_cast<std::int64_t>(rng.next_bounded(3));
+  return seq;
+}
+
+void BM_PendingCounterSharedRmw(benchmark::State& state) {
+  static PendingCounter pending;
+  const auto seq =
+      produced_sequence(static_cast<std::size_t>(state.thread_index()));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    pending.consumed_produced(seq[i++ & 1023]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PendingCounterSharedRmw)->Threads(4)->UseRealTime();
+
+void BM_PendingCounterCredit(benchmark::State& state) {
+  static PendingCounter pending;
+  const auto seq =
+      produced_sequence(static_cast<std::size_t>(state.thread_index()));
+  PendingCredit credit;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    credit.consumed_produced(pending, seq[i++ & 1023]);
+  }
+  credit.flush(pending);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["shared_updates"] =
+      benchmark::Counter(static_cast<double>(credit.shared_updates()),
+                         benchmark::Counter::kAvgThreads);
+}
+BENCHMARK(BM_PendingCounterCredit)->Threads(4)->UseRealTime();
 
 void BM_BarrierSingleParty(benchmark::State& state) {
   SpinBarrier barrier(1);

@@ -120,6 +120,7 @@ PerfRun measure_bader_cong(const Graph& g, ThreadPool& pool, std::size_t p,
   for (const auto& t : stats.per_thread) {
     run.steal_attempts += t.steal_attempts;
     run.sleep_episodes += t.sleep_episodes;
+    run.pending_updates += t.pending_updates;
   }
   run.duplicate_expansions = stats.duplicate_expansions;
   run.fallback_triggered = stats.fallback_triggered;
@@ -452,6 +453,7 @@ void write_perf_suite_json(const PerfSuiteResult& result, std::ostream& os) {
          << "            \"duplicate_expansions\": "
          << run.duplicate_expansions << ",\n"
          << "            \"sleep_episodes\": " << run.sleep_episodes << ",\n"
+         << "            \"pending_updates\": " << run.pending_updates << ",\n"
          << "            \"fallback_triggered\": "
          << (run.fallback_triggered ? "true" : "false") << ",\n"
          << "            \"load_imbalance\": "

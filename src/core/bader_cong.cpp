@@ -25,6 +25,14 @@ namespace smpst {
 
 namespace {
 
+/// What worker t owns: its queue and its share of the pending count
+/// (sched/termination.hpp). The owner touches both per vertex, so they share
+/// the worker's cache line.
+struct WorkerSlot {
+  SplitQueue<VertexId> queue;
+  PendingCredit credit;
+};
+
 /// Shared state of one traversal. Colour 0 means unvisited; thread t writes
 /// colour t+1. Parent writes race benignly exactly as in the paper: the last
 /// writer wins and either value forms a valid tree edge.
@@ -50,7 +58,7 @@ struct TraversalState {
         n(graph.num_vertices()),
         color(new std::uint32_t[n]),
         parent(new VertexId[n]),
-        queues(p) {}
+        workers(p) {}
 
   /// Vertex-ownership shards: contiguous blocks, worker t owns
   /// [shard_lo(t), shard_hi(t)). Contiguous (not strided) so a shard's pages
@@ -58,11 +66,11 @@ struct TraversalState {
   /// order of CpuTopology, so neighbouring workers share a socket.
   [[nodiscard]] VertexId shard_lo(std::size_t tid) const noexcept {
     return static_cast<VertexId>(static_cast<std::uint64_t>(n) * tid /
-                                 queues.size());
+                                 workers.size());
   }
   [[nodiscard]] VertexId shard_hi(std::size_t tid) const noexcept {
     return static_cast<VertexId>(static_cast<std::uint64_t>(n) * (tid + 1) /
-                                 queues.size());
+                                 workers.size());
   }
 
   /// NUMA-aware first touch: every worker initializes (and thereby places)
@@ -77,7 +85,7 @@ struct TraversalState {
     // the queue's SpinLock across the insert and a reallocation stretches
     // that critical section exactly when a thief is spinning on it.
     const std::size_t expected =
-        static_cast<std::size_t>(n) / queues.size() + 64;
+        static_cast<std::size_t>(n) / workers.size() + 64;
     pool.run([&](std::size_t tid) {
       SMPST_TRACE_SCOPE("bc.first_touch");
       const VertexId lo = shard_lo(tid);
@@ -86,7 +94,7 @@ struct TraversalState {
         SMPST_BENIGN_RACE_STORE(color[v], 0u);
         SMPST_BENIGN_RACE_STORE(parent[v], kInvalidVertex);
       }
-      queues[tid]->reserve(expected);
+      workers[tid]->queue.reserve(expected);
     });
   }
 
@@ -96,7 +104,7 @@ struct TraversalState {
   const VertexId n;
   std::unique_ptr<std::uint32_t[]> color;
   std::unique_ptr<VertexId[]> parent;
-  std::vector<Padded<SplitQueue<VertexId>>> queues;
+  std::vector<Padded<WorkerSlot>> workers;
 
   alignas(kCacheLineSize) PendingCounter pending;
   alignas(kCacheLineSize) IdleGate gate;
@@ -108,6 +116,19 @@ struct TraversalState {
   /// A worker threw: the others stop, and the pool rethrows on the caller.
   alignas(kCacheLineSize) std::atomic<bool> failed{false};
 };
+
+/// True when work is pending beyond the credit workers have not returned yet:
+/// what the starvation check must see. A worker preempted while holding
+/// credit keeps the shared count up after the real work is done, and the
+/// sleepers would count that as starvation. The reads are not one snapshot,
+/// so an update racing them can skew one round of the check; the drain CAS
+/// still reads the exact shared count.
+template <storage::GraphStorage GS>
+bool work_outstanding(const TraversalState<GS>& st) {
+  std::int64_t held = 0;
+  for (const auto& w : st.workers) held += w->credit.credit();
+  return st.pending.value() - held > 0;
+}
 
 enum class RootClaim { kClaimed, kBusy, kExhausted };
 
@@ -127,6 +148,7 @@ enum class RootClaim { kClaimed, kBusy, kExhausted };
 template <storage::GraphStorage GS>
 RootClaim try_claim_root(TraversalState<GS>& st, std::size_t tid,
                          std::uint32_t label, ThreadStats& ts) {
+  ++ts.pending_updates;
   if (!st.pending.try_take_drain()) return RootClaim::kBusy;
   // Relaxed on the cursor: the drain CAS orders one holder after the next.
   VertexId v = st.root_cursor.load(std::memory_order_relaxed);
@@ -134,13 +156,14 @@ RootClaim try_claim_root(TraversalState<GS>& st, std::size_t tid,
   if (v == st.n) {
     st.root_cursor.store(v, std::memory_order_relaxed);
     st.pending.add(-1);
+    ++ts.pending_updates;
     return RootClaim::kExhausted;
   }
   // The drain unit becomes the root's pending count.
   SMPST_BENIGN_RACE_STORE(st.color[v], label);
   SMPST_BENIGN_RACE_STORE(st.parent[v], v);
   st.root_cursor.store(v + 1, std::memory_order_relaxed);
-  st.queues[tid]->push(v);
+  st.workers[tid]->queue.push(v);
   ++ts.roots_claimed;
   return RootClaim::kClaimed;
 }
@@ -155,7 +178,8 @@ constexpr std::size_t kColorPrefetchDistance = 4;
 template <storage::GraphStorage GS>
 void expand_vertex(TraversalState<GS>& st, std::size_t tid,
                    std::uint32_t label, VertexId v,
-                   std::vector<VertexId>& children, ThreadStats& ts) {
+                   std::vector<VertexId>& children, PendingCredit& credit,
+                   ThreadStats& ts) {
   children.clear();
   const auto nbrs = st.g.neighbors(v);
   const std::size_t deg = nbrs.size();
@@ -170,26 +194,25 @@ void expand_vertex(TraversalState<GS>& st, std::size_t tid,
     // Deliberately check-then-set (no CAS): the race is benign (§2, Fig. 1).
     // Two threads may both see 0 and both enqueue w; the duplicate expansion
     // is absorbed by the pending counter and parent stays valid either way.
+    // These stores reach the worker that expands w through the queue's lock
+    // (push_bulk here, pop or steal there), never through the counter.
     if (SMPST_BENIGN_RACE_LOAD(st.color[w]) == 0) {
       SMPST_BENIGN_RACE_STORE(st.color[w], label);
       SMPST_BENIGN_RACE_STORE(st.parent[w], v);
       children.push_back(w);
     }
   }
-  // One batched counter update per expansion instead of one per child: the
-  // pending counter is the single most contended cacheline at p >= 8, and
-  // v's own in-flight count makes the batching safe — children become
-  // counted (+k) and v consumed (-1) in a single RMW *before* the children
-  // are published to the queue, so the counter can never drain (or even dip)
-  // while any coloured-but-uncounted child exists, and a thief can never
-  // decrement a child the batch has not yet counted.
+  // Children counted (+k) and v consumed (-1) *before* the children are
+  // published, out of this worker's credit where it covers k-1, so the
+  // shared counter can never drain while any coloured-but-uncounted child
+  // exists, and a thief can never consume a child not yet counted. Most
+  // expansions leave the shared cacheline alone.
+  credit.consumed_produced(st.pending,
+                          static_cast<std::int64_t>(children.size()));
   if (!children.empty()) {
-    st.pending.consumed_produced(static_cast<std::int64_t>(children.size()));
-    st.queues[tid]->push_bulk(children.data(), children.size());
+    st.workers[tid]->queue.push_bulk(children.data(), children.size());
     ts.enqueues += children.size();
     st.gate.notify_work();
-  } else {
-    st.pending.add(-1);  // v consumed, nothing produced
   }
   ++ts.vertices_processed;
 }
@@ -212,6 +235,7 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
   std::vector<VertexId> stolen;
   std::size_t starving_rounds = 0;
   std::size_t cancel_check = 0;
+  PendingCredit& credit = st.workers[tid]->credit;
 
   while (!st.done.load(std::memory_order_acquire) &&
          !st.starved.load(std::memory_order_acquire) &&
@@ -231,7 +255,7 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
     }
     VertexId v;
     VertexId next_hint = kInvalidVertex;
-    if (st.queues[tid]->pop(v, &next_hint)) {
+    if (st.workers[tid]->queue.pop(v, &next_hint)) {
       // Warm the *next* frontier vertex's CSR slice while this one expands:
       // neighbors() touches the offsets line and the first targets line, both
       // cold for vertices that arrived by steal or long-ago enqueue.
@@ -244,10 +268,14 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
         }
       }
       starving_rounds = 0;
-      expand_vertex(st, tid, label, v, children, ts);
+      expand_vertex(st, tid, label, v, children, credit, ts);
       continue;
     }
 
+    // Out of local work: return the credit before reading the counter, so
+    // the drain test, the root claim and the starvation check see it exact
+    // as far as this worker is concerned.
+    credit.flush(st.pending);
     if (st.pending.drained()) {
       const RootClaim claim = try_claim_root(st, tid, label, ts);
       if (claim == RootClaim::kClaimed) {
@@ -272,7 +300,7 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
     for (std::size_t a = 0; a < steal_attempts && p > 1; ++a) {
       const std::size_t victim = domains.sample(rng, tid, a);
       ++ts.steal_attempts;
-      const std::size_t avail = st.queues[victim]->size();
+      const std::size_t avail = st.workers[victim]->queue.size();
       if (avail == 0) continue;
       // Take at most half the victim's queue ("steals part of the queue"),
       // even under an explicit chunk size: emptying a busy victim makes
@@ -281,9 +309,10 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
       const std::size_t chunk =
           opts.steal_chunk != 0 ? std::min(opts.steal_chunk, half) : half;
       stolen.clear();
-      const std::size_t took = st.queues[victim]->steal(stolen, chunk);
+      const std::size_t took =
+          st.workers[victim]->queue.steal(stolen, chunk);
       if (took > 0) {
-        st.queues[tid]->push_bulk(stolen.data(), took);
+        st.workers[tid]->queue.push_bulk(stolen.data(), took);
         SMPST_TRACE_INSTANT("bc.steal");
         ++ts.steals_succeeded;
         ts.items_stolen += took;
@@ -304,7 +333,7 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
       SMPST_TRACE_SCOPE("bc.sleep");
       sleepers = st.gate.sleep_for(opts.idle_sleep);
     }
-    if (!st.pending.drained() && sleepers >= starvation_threshold) {
+    if (sleepers >= starvation_threshold && work_outstanding(st)) {
       if (++starving_rounds >= opts.starvation_patience &&
           opts.enable_fallback && p > 1) {
         st.starved.store(true, std::memory_order_release);
@@ -315,6 +344,7 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
       starving_rounds = 0;
     }
   }
+  ts.pending_updates += static_cast<std::uint32_t>(credit.shared_updates());
 }
 
 /// Phase 1: random walk of `steps` steps from `start`; returns the distinct
@@ -348,7 +378,7 @@ std::vector<VertexId> grow_stub_tree(TraversalState<GS>& st, VertexId start,
   for (std::size_t i = 0; i < stub.size(); ++i) {
     const std::size_t owner = i % p;
     st.color[stub[i]] = static_cast<std::uint32_t>(owner + 1);
-    st.queues[owner]->push(stub[i]);
+    st.workers[owner]->queue.push(stub[i]);
   }
   st.pending.reset(static_cast<std::int64_t>(stub.size()));
   return stub;
@@ -449,8 +479,12 @@ SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
     SMPST_TRACE_SCOPE("bc.traversal");
     pool.run([&](std::size_t tid) {
       try {
-        traversal_worker(st, tid, opts, p, domains,
-                         local_stats.per_thread[tid]);
+        // Counted in a worker-local object: the per_thread entries are not
+        // cache-line aligned, so writing them per vertex shares lines
+        // between neighbouring workers.
+        ThreadStats ts;
+        traversal_worker(st, tid, opts, p, domains, ts);
+        local_stats.per_thread[tid] = ts;
       } catch (...) {
         // A worker that dies holding a dequeued vertex (a StorageError from
         // a BlockedGraph pin, say) keeps pending above zero forever: stop

@@ -11,10 +11,12 @@
 // benign — the vertex's parent ends up as one of the racing writers, either
 // of which yields a valid tree (§2, Fig. 1). An idle processor steals the
 // front portion of a random victim's queue. Termination is exact via a
-// pending-work counter. The paper's detection mechanism is implemented too:
-// processors that cannot steal sleep on a gate, and when enough of them sleep
-// while work is still pending the traversal halts and the partially grown
-// forest is merged and finished by Shiloach–Vishkin.
+// pending-work counter, which each worker updates out of a private credit
+// and touches only for the excess and when its queue runs empty. The
+// paper's detection mechanism is implemented too: processors that cannot
+// steal sleep on a gate, and when enough of them sleep while work is still
+// pending the traversal halts and the partially grown forest is merged and
+// finished by Shiloach–Vishkin.
 //
 // Disconnected inputs are handled by claiming a new root (atomically, via a
 // shared cursor) whenever the pending counter drains with vertices left

@@ -17,7 +17,12 @@ struct ThreadStats {
   std::uint64_t steals_succeeded = 0;
   std::uint64_t items_stolen = 0;
   std::uint64_t sleep_episodes = 0;
-  std::uint64_t roots_claimed = 0;  ///< extra components seeded by this thread
+  // The two 32-bit counters keep ThreadStats at 64 bytes, one cache line.
+  std::uint32_t roots_claimed = 0;  ///< extra components seeded by this thread
+  /// RMWs this thread issued on the shared pending counter: credit excess
+  /// and flushes (sched/termination.hpp PendingCredit) plus drain claims.
+  /// At most one per expansion plus a few per idle episode.
+  std::uint32_t pending_updates = 0;
 };
 
 struct TraversalStats {

@@ -5,6 +5,17 @@
 // because a vertex is counted from the moment it is enqueued until its
 // expansion finishes, so no in-flight work can be missed.
 //
+// PendingCredit keeps that counter off the per-vertex path. Each worker holds
+// a private credit: the amount by which the shared count over-counts that
+// worker's work. The invariant is shared == true pending + sum of credits,
+// with every credit >= 0, so the shared count never reads drained while work
+// exists. An expansion settles its delta out of credit and touches the shared
+// line only for the excess; a worker flushes its credit when its own queue
+// runs empty, before it claims a root, steals or sleeps. So the shared count
+// is exact whenever every worker is idle, which is when the drain CAS reads
+// it. The starvation check runs while one worker may still be busy, or
+// preempted, holding credit; it subtracts the published credits.
+//
 // IdleGate implements the paper's condition-variable sleep protocol: an idle
 // processor that fails to steal goes to sleep for a bounded duration; the
 // number of simultaneous sleepers is observable so the caller can implement
@@ -54,6 +65,56 @@ class PendingCounter {
 
  private:
   std::atomic<std::int64_t> count_{0};
+};
+
+/// One worker's private share of a PendingCounter (see the file comment).
+/// Only its owner changes it. Any thread may read credit(): a sleeping
+/// worker subtracts the others' credit from the shared count to tell work
+/// that is really pending from credit a busy or preempted worker has not
+/// returned yet. shared_updates() counts the RMWs the owner issued on the
+/// shared line, flushes included.
+class PendingCredit {
+ public:
+  /// The owner consumed one item and produced `produced`. Call before the
+  /// produced items are published, exactly where
+  /// PendingCounter::consumed_produced would be called: a leaf adds 1 to
+  /// the credit, a parent pays its produced-1 out of it, and only the
+  /// excess reaches the shared count.
+  void consumed_produced(PendingCounter& shared,
+                         std::int64_t produced) noexcept {
+    const std::int64_t delta = produced - 1;
+    const std::int64_t credit = credit_.load(std::memory_order_relaxed);
+    if (delta <= credit) {
+      credit_.store(credit - delta, std::memory_order_relaxed);
+      return;
+    }
+    shared.add(delta - credit);
+    credit_.store(0, std::memory_order_relaxed);
+    ++shared_updates_;
+  }
+
+  /// Returns the credit to the shared count. Call when the owner's queue
+  /// runs empty, before anything that reads the count or waits on it.
+  void flush(PendingCounter& shared) noexcept {
+    const std::int64_t credit = credit_.load(std::memory_order_relaxed);
+    if (credit == 0) return;
+    shared.add(-credit);
+    credit_.store(0, std::memory_order_relaxed);
+    ++shared_updates_;
+  }
+
+  [[nodiscard]] std::int64_t credit() const noexcept {
+    return credit_.load(std::memory_order_relaxed);
+  }
+
+  /// Owner only.
+  [[nodiscard]] std::uint64_t shared_updates() const noexcept {
+    return shared_updates_;
+  }
+
+ private:
+  std::atomic<std::int64_t> credit_{0};
+  std::uint64_t shared_updates_ = 0;
 };
 
 class IdleGate {

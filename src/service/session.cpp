@@ -137,13 +137,20 @@ std::uint64_t Session::alloc_slot() {
   return next_slot_++;
 }
 
-void Session::deliver(std::uint64_t slot, std::vector<std::string> lines) {
+void Session::deliver(std::uint64_t slot, std::vector<std::string> lines,
+                      bool executor_stats) {
   LockGuard<Mutex> lk(mutex_);
-  ready_.emplace(slot, std::move(lines));
+  ready_.emplace(slot, Ready{std::move(lines), executor_stats});
   // Release every contiguously-completed slot, in order. The map is keyed by
   // slot, so begin() is always the lowest outstanding completion.
   while (!ready_.empty() && ready_.begin()->first == flush_slot_) {
-    for (std::string& line : ready_.begin()->second) {
+    Ready& ready = ready_.begin()->second;
+    if (ready.executor_stats) {
+      // The executor counts a query's outcome before it completes the
+      // query's slot, so every earlier slot's outcome is in this snapshot.
+      ready.lines.push_back(render_stats(executor_.stats()));
+    }
+    for (std::string& line : ready.lines) {
       // The TCP front end's sink posts into the server mailbox, taking
       // mail_mutex_ (rank kNetMailbox) under our mutex_ (rank kSession) —
       // declare the indirect call so the static lock-order graph sees it.
@@ -418,6 +425,10 @@ void Session::dispatch(std::uint64_t slot, const std::string& line) {
       offload(slot, cmd, std::move(f));
       return;
     }
+    if (cmd == "stats") {
+      deliver(slot, {}, /*executor_stats=*/true);
+      return;
+    }
     // On loop-thread (TCP) sessions the heavy commands — load, gen, trace:
     // disk I/O and pool-joining compute — were dispatched to the executor
     // just above, so this inline path runs only the bounded registry/stat
@@ -597,8 +608,6 @@ std::vector<std::string> Session::run_sync(const std::string& cmd,
     w.field("csr_bytes", static_cast<std::uint64_t>(graph->csr_bytes()));
     w.field("blocked", true);
     lines.push_back(w.str());
-  } else if (cmd == "stats") {
-    lines.push_back(render_stats(executor_.stats()));
   } else if (cmd == "metrics") {
     lines.push_back(
         render_metrics(obs::MetricsRegistry::instance().snapshot()));

@@ -140,7 +140,8 @@ class Session : public std::enable_shared_from_this<Session> {
   [[nodiscard]] bool must_defer() const;
   void defer(DeferredEvent ev);
   void offload(std::uint64_t slot, const std::string& cmd, Fields f);
-  void deliver(std::uint64_t slot, std::vector<std::string> lines);
+  void deliver(std::uint64_t slot, std::vector<std::string> lines,
+               bool executor_stats = false);
   void deliver_one(std::uint64_t slot, std::string line);
   void complete_query(std::uint64_t slot, const QueryResult& r);
   void dispatch(std::uint64_t slot, const std::string& line);
@@ -159,8 +160,14 @@ class Session : public std::enable_shared_from_this<Session> {
   Sink sink_ SMPST_GUARDED_BY(mutex_);
   std::uint64_t next_slot_ SMPST_GUARDED_BY(mutex_) = 0;
   std::uint64_t flush_slot_ SMPST_GUARDED_BY(mutex_) = 0;
-  std::map<std::uint64_t, std::vector<std::string>> ready_
-      SMPST_GUARDED_BY(mutex_);
+  /// A completed slot waiting for its turn. `executor_stats` (the `stats`
+  /// command) is rendered when the slot is written, so it counts every
+  /// query answered before it on this connection.
+  struct Ready {
+    std::vector<std::string> lines;
+    bool executor_stats = false;
+  };
+  std::map<std::uint64_t, Ready> ready_ SMPST_GUARDED_BY(mutex_);
   CondVar idle_cv_;
 
   std::int64_t retry_hint_ms_ SMPST_GUARDED_BY(mutex_) = 1;

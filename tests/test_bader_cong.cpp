@@ -114,6 +114,25 @@ TEST(BaderCong, RepeatedRunsOnSmallGraphStayValid) {
   }
 }
 
+// The colour and parent stores of an expansion reach the worker that expands
+// the children only through the queue lock taken by push_bulk and pop/steal;
+// the pending counter no longer orders them. A queue path without that
+// fence produced parent cycles on these small graphs at p=8 about once in
+// 40 sweeps, so hammer them over many seeds and validate every forest. 2d60
+// at this size has several components, so the drain and root claim run too.
+TEST(BaderCong, ForestsStayAcyclicAtEightThreads) {
+  ThreadPool pool(8);
+  for (const char* family : {"torus-rowmajor", "2d60"}) {
+    const Graph g = gen::make_family(family, 600, 2024);
+    for (std::uint64_t seed = 0; seed < 250; ++seed) {
+      const auto f = bader_cong_spanning_tree(g, pool, opts_with(8, seed));
+      const auto report = validate_spanning_forest(g, f);
+      ASSERT_TRUE(report) << family << " seed=" << seed << ": "
+                          << report.error;
+    }
+  }
+}
+
 TEST(BaderCong, PoolReuseAcrossGraphs) {
   ThreadPool pool(4);
   for (const char* family : {"ad3", "chain-seq", "torus-rowmajor"}) {
@@ -140,6 +159,23 @@ TEST(BaderCong, StatsAccountForAllVertices) {
   for (const auto& t : stats.per_thread) edges += t.edges_scanned;
   // Each processed vertex scans its full neighbourhood: at least 2m scans.
   EXPECT_GE(edges, g.num_arcs());
+}
+
+// Expansions settle the pending count out of worker-private credit, so the
+// shared counter sees roughly one RMW per queue-empty episode, not one per
+// vertex.
+TEST(BaderCong, PendingUpdatesStayOffThePerVertexPath) {
+  const Graph g = gen::make_family("torus-rowmajor", 10000, 9);
+  TraversalStats stats;
+  BaderCongOptions o = opts_with(1);
+  o.stats = &stats;
+  ASSERT_TRUE(validate_spanning_forest(g, bader_cong_spanning_tree(g, o)));
+  ASSERT_EQ(stats.per_thread.size(), 1u);
+  const ThreadStats& t = stats.per_thread[0];
+  EXPECT_GE(t.pending_updates, 1u);
+  EXPECT_LT(t.pending_updates * 10, t.vertices_processed)
+      << t.pending_updates << " shared updates for " << t.vertices_processed
+      << " vertices";
 }
 
 TEST(BaderCong, DuplicateExpansionsAreRare) {

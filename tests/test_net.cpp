@@ -4,7 +4,8 @@
 // partial frames, pipelined ordering, typed too-large/overloaded/
 // shutting-down errors, half-close, disconnect mid-query, slow-loris
 // timeouts, the connection cap, and drain-under-load's one-response-per-
-// accepted-request contract (docs/SERVICE.md).
+// accepted-request contract (docs/SERVICE.md); and the Session's pipelined
+// `stats` answer.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -646,6 +647,44 @@ TEST(SessionOffload, ShedsHeavyCommandWithTypedErrorWhenQueueIsFull) {
   }
   parked.release();
   (void)future.get();
+}
+
+// `stats` is answered after the pipelined lines before it, so its counters
+// must include their outcomes: it is rendered when its slot is written, not
+// when its line is read.
+TEST(SessionPipeline, StatsCountsTheQueriesAnsweredBeforeIt) {
+  service::GraphRegistry registry;
+  registry.put("g", gen::make_family("torus-rowmajor", 256, 1));
+  service::ExecutorOptions eopts;
+  eopts.num_workers = 1;
+  eopts.threads_per_query = 2;
+  service::QueryExecutor executor(registry, eopts);
+  std::mutex out_mutex;
+  std::vector<std::string> out;
+  auto session = service::Session::create(
+      registry, executor, [&](std::string&& line) {
+        std::lock_guard<std::mutex> lk(out_mutex);
+        out.push_back(std::move(line));
+      });
+  // Every forest is split, so the query ends invalid.
+  fail::enable("service.executor.exit_invariant", "wake");
+  struct Disarm {
+    ~Disarm() { fail::disable_all(); }
+  } disarm;
+  {
+    // The query is still queued when `stats` is read.
+    service::ParkedWorkers parked(executor, eopts.num_workers);
+    session->on_line("query graph=g algo=bader-cong");
+    session->on_line("stats");
+    EXPECT_EQ(session->pending(), 2u);
+  }
+  ASSERT_TRUE(session->wait_idle(std::chrono::seconds(30)));
+  std::lock_guard<std::mutex> lk(out_mutex);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(parse_line(out[0]).at("status"), "invalid") << out[0];
+  const Fields stats = parse_line(out[1]);
+  EXPECT_GE(std::stoll(stats.at("invalid")), 1) << out[1];
+  EXPECT_GE(std::stoll(stats.at("retries")), 1) << out[1];
 }
 
 }  // namespace

@@ -340,6 +340,82 @@ TEST(PendingCounter, OneThreadTakesTheDrain) {
   EXPECT_TRUE(pc.try_take_drain());
 }
 
+// Workers take items from a bag, produce 0-2 children each (a critical
+// branching process, so the bag keeps running dry) and settle through their
+// own PendingCredit; a worker that finds the bag empty flushes and, like
+// the traversal's root claim, may take the drain and seed one new item.
+// Invariant: shared == bag + items in hand + sum of credits. A worker holding
+// an item therefore always sees at least its item and its own credit, a
+// successful drain sees an empty bag, and once every worker has flushed the
+// shared count is exactly the bag.
+TEST(PendingCounter, CreditNeverUnderCountsAndFlushesExact) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kSteps = 200000;
+  PendingCounter shared;
+  std::atomic<std::int64_t> bag{8};
+  shared.reset(8);
+  std::atomic<int> undercounts{0};
+  std::atomic<int> bad_drains{0};
+  std::atomic<std::uint64_t> drains{0};
+  ThreadPool pool(kThreads);
+  pool.run([&](std::size_t tid) {
+    Xoshiro256 rng(derive_stream_seed(7, tid));
+    PendingCredit credit;
+    for (int step = 0; step < kSteps; ++step) {
+      std::int64_t have = bag.load(std::memory_order_acquire);
+      while (have > 0 &&
+             !bag.compare_exchange_weak(have, have - 1,
+                                        std::memory_order_acq_rel)) {
+      }
+      if (have <= 0) {
+        credit.flush(shared);
+        if (shared.try_take_drain()) {
+          if (bag.load(std::memory_order_acquire) != 0) ++bad_drains;
+          drains.fetch_add(1, std::memory_order_relaxed);
+          bag.fetch_add(1, std::memory_order_acq_rel);  // the drain unit
+        }
+        continue;
+      }
+      if (shared.value() < credit.credit() + 1) ++undercounts;
+      const auto produced = static_cast<std::int64_t>(rng.next_bounded(3));
+      credit.consumed_produced(shared, produced);
+      // Counted, not yet published.
+      if (shared.value() < credit.credit() + produced) ++undercounts;
+      bag.fetch_add(produced, std::memory_order_acq_rel);
+    }
+    credit.flush(shared);
+  });
+  EXPECT_EQ(undercounts.load(), 0);
+  EXPECT_EQ(bad_drains.load(), 0);
+  EXPECT_GT(drains.load(), 0u);
+  EXPECT_EQ(shared.value(), bag.load());
+}
+
+TEST(PendingCounter, CreditSettlesLocallyUntilTheExcess) {
+  PendingCounter shared;
+  shared.reset(2);  // two items queued
+  PendingCredit credit;
+  // A leaf: 1 pending, and the shared count over-counts by 1.
+  credit.consumed_produced(shared, 0);
+  EXPECT_EQ(credit.credit(), 1);
+  EXPECT_EQ(shared.value(), 2);
+  EXPECT_EQ(credit.shared_updates(), 0u);
+  credit.consumed_produced(shared, 2);  // 2 pending: the credit pays the +1
+  EXPECT_EQ(credit.credit(), 0);
+  EXPECT_EQ(shared.value(), 2);
+  credit.consumed_produced(shared, 4);  // 5 pending: +3 exceeds the credit
+  EXPECT_EQ(shared.value(), 5);
+  EXPECT_EQ(credit.shared_updates(), 1u);
+  for (int i = 0; i < 5; ++i) credit.consumed_produced(shared, 0);
+  EXPECT_EQ(credit.credit(), 5);  // nothing pending, but not yet drained
+  EXPECT_FALSE(shared.drained());
+  credit.flush(shared);
+  EXPECT_TRUE(shared.drained());
+  EXPECT_EQ(credit.shared_updates(), 2u);
+  credit.flush(shared);  // nothing owed: no RMW
+  EXPECT_EQ(credit.shared_updates(), 2u);
+}
+
 TEST(IdleGate, TimesOutWithoutNotify) {
   IdleGate gate;
   const auto sleepers = gate.sleep_for(std::chrono::microseconds(500));

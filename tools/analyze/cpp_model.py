@@ -225,9 +225,11 @@ _CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return",
                      "alignas", "noexcept", "assert"}
 
 _NS_RE = re.compile(r"\bnamespace\s*([\w:]*)\s*$")
+# The name may be qualified (`class Outer::Inner {`, an out-of-line nested
+# class); a base list starts with a single colon, never `::`.
 _CLASS_RE = re.compile(
     r"\b(?:class|struct)\s+(?:SMPST_[A-Z_]+(?:\(\s*\w*\s*\))?\s+)?"
-    r"(?P<name>\w+)\s*(?:final\s*)?(?::\s*[^{]*)?$")
+    r"(?P<name>\w+(?:\s*::\s*\w+)*)\s*(?:final\s*)?(?::(?!:)\s*[^{]*)?$")
 _ENUM_RE = re.compile(r"\benum\b")
 _LAMBDA_TAIL_RE = re.compile(
     r"\[[^\[\]]*\]\s*(?:\([^{}]*\))?\s*(?:mutable\s*)?(?:constexpr\s*)?"
@@ -271,7 +273,7 @@ def _classify_head(head: str) -> tuple[str, str]:
         return "enum", ""
     m = _CLASS_RE.search(h)
     if m is not None:
-        return "class", m.group("name")
+        return "class", re.sub(r"\s+", "", m.group("name"))
     if _LAMBDA_TAIL_RE.search(h) and "[" in h:
         return "lambda", ""
     # Function definition: some `name(...)` whose closing paren is followed
@@ -330,8 +332,9 @@ def parse_file(path: pathlib.Path, rel: str) -> SourceFile:
             elif kind == "class":
                 ns = _qualify(stack)
                 qname = (ns + "::" + name) if ns else name
-                entity = Klass(qname=qname, basename=name, file=rel,
-                               line=line_of(code, i), start=i + 1, end=-1)
+                entity = Klass(qname=qname, basename=name.split("::")[-1],
+                               file=rel, line=line_of(code, i), start=i + 1,
+                               end=-1)
                 sf.classes.append(entity)
             elif kind == "function" or kind == "lambda":
                 encl = _enclosing_function(stack)

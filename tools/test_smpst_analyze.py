@@ -32,6 +32,7 @@ EXPECTED: dict[str, collections.Counter] = {
     "sa2_bad_hidden_atomic.cpp": collections.Counter({"SA2": 5}),
     "sa2_good_explicit.cpp": collections.Counter(),
     "sa3_bad_inversion.cpp": collections.Counter({"SA3": 3}),
+    "sa3_bad_nested_class.cpp": collections.Counter({"SA3": 2}),
     "sa3_good_order.cpp": collections.Counter(),
     "sa4_bad_blocking.cpp": collections.Counter({"SA4": 6}),
     "sa4_good_offload.cpp": collections.Counter(),
