@@ -4,7 +4,8 @@
 // paper claims speedup over), Bader–Cong, level-synchronous parallel BFS,
 // and Shiloach–Vishkin — over a configurable set of graph families and
 // thread counts, reports median-of-k wall times plus speedup versus
-// sequential BFS, and serializes everything into a machine-readable,
+// sequential BFS and versus the fastest one-thread forest (best_seq), and
+// serializes everything into a machine-readable,
 // schema-versioned `BENCH_smpst.json` so perf claims can be diffed across
 // commits (docs/BENCHMARKING.md).
 //
@@ -85,7 +86,8 @@ struct PerfRun {
                      ///< | "sv"
   std::size_t p = 1;
   TimingStats timing;
-  double speedup_vs_seq_bfs = 0.0;  ///< seq median / this median
+  double speedup_vs_seq_bfs = 0.0;   ///< seq median / this median
+  double speedup_vs_best_seq = 0.0;  ///< best_seq median / this median
 
   // Observability column (from one instrumented, untimed run).
   // Bader–Cong only; zero elsewhere.
@@ -133,7 +135,12 @@ struct PerfFamilyResult {
   VertexId n = 0;
   EdgeId m = 0;
   std::uint64_t components = 0;
-  TimingStats seq_bfs;  ///< the denominator of every speedup in `runs`
+  TimingStats seq_bfs;  ///< the denominator of every speedup_vs_seq_bfs
+  /// The fastest validated one-thread forest timed for this family: seq_bfs,
+  /// or parallel_bfs_dir at p=1 when that cell ran and was faster. The
+  /// denominator of every speedup_vs_best_seq.
+  std::string best_seq_algo = "seq_bfs";
+  double best_seq_median_s = 0.0;
   std::vector<PerfRun> runs;
   std::uint64_t csr_bytes = 0;  ///< on-disk payload; non-zero iff swept
   std::vector<PerfStorageRun> storage;  ///< empty unless storage_sweep

@@ -300,7 +300,9 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
     for (std::size_t a = 0; a < steal_attempts && p > 1; ++a) {
       const std::size_t victim = domains.sample(rng, tid, a);
       ++ts.steal_attempts;
-      const std::size_t avail = st.workers[victim]->queue.size();
+      // Lock-free probe: a stale count costs one empty steal, which
+      // re-checks under the victim's lock.
+      const std::size_t avail = st.workers[victim]->queue.size_hint();
       if (avail == 0) continue;
       // Take at most half the victim's queue ("steals part of the queue"),
       // even under an explicit chunk size: emptying a busy victim makes

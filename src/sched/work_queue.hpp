@@ -5,7 +5,8 @@
 // of the queue" — here the front portion, which holds the oldest frontier
 // vertices and therefore (in BFS order) the largest unexplored subtrees. A
 // spinlock per queue is cheap because steals only happen when the thief has
-// nothing else to do.
+// nothing else to do, and idle thieves probe a victim through a lock-free
+// size hint, so only an actual steal takes the owner's lock.
 //
 // ChaseLevDeque is a lock-free alternative (owner LIFO bottom, thieves FIFO
 // top, one element per steal) included for the steal-granularity ablation.
@@ -40,12 +41,14 @@ class SplitQueue {
   void push(const T& value) {
     LockGuard<SpinLock> lk(lock_);
     buf_.push_back(value);
+    publish_size();
   }
 
   /// Owner: append many elements at the back.
   void push_bulk(const T* values, std::size_t count) {
     LockGuard<SpinLock> lk(lock_);
     buf_.insert(buf_.end(), values, values + count);
+    publish_size();
   }
 
   /// Owner: remove the front element (BFS order). Returns false when empty.
@@ -62,6 +65,7 @@ class SplitQueue {
     out = buf_[head_++];
     if (next_hint != nullptr && head_ < buf_.size()) *next_hint = buf_[head_];
     maybe_compact();
+    publish_size();
     return true;
   }
 
@@ -77,23 +81,23 @@ class SplitQueue {
                buf_.begin() + static_cast<std::ptrdiff_t>(head_ + take));
     head_ += take;
     maybe_compact();
+    publish_size();
     return take;
   }
 
-  [[nodiscard]] bool empty() const {
-    LockGuard<SpinLock> lk(lock_);
-    return head_ == buf_.size();
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    LockGuard<SpinLock> lk(lock_);
-    return buf_.size() - head_;
+  /// Any thread, without the lock: the element count as of the last
+  /// completed operation. Exact when no other thread is using the queue;
+  /// otherwise possibly stale by the time the caller acts on it, which is
+  /// why steal() re-checks under the lock.
+  [[nodiscard]] std::size_t size_hint() const {
+    return size_hint_.load(std::memory_order_relaxed);
   }
 
   void clear() {
     LockGuard<SpinLock> lk(lock_);
     buf_.clear();
     head_ = 0;
+    publish_size();
   }
 
  private:
@@ -106,7 +110,14 @@ class SplitQueue {
     }
   }
 
-  mutable SpinLock lock_{lockdep::rank::kWorkQueue};
+  void publish_size() SMPST_REQUIRES(lock_) {
+    size_hint_.store(buf_.size() - head_, std::memory_order_relaxed);
+  }
+
+  // Written only under lock_ (publish_size), read by anyone; it shares
+  // the lock's cache line, which the owner holds while writing it.
+  std::atomic<std::size_t> size_hint_{0};
+  SpinLock lock_{lockdep::rank::kWorkQueue};
   std::vector<T> buf_ SMPST_GUARDED_BY(lock_);
   std::size_t head_ SMPST_GUARDED_BY(lock_) = 0;
 };

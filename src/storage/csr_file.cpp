@@ -51,7 +51,11 @@ void write_csr_file(const Graph& g, const std::string& path) {
   std::memcpy(header.data() + 40, &targets_pos, sizeof(targets_pos));
   os.write(header.data(), header.size());
 
-  write_bytes(os, g.offsets().data(), sizeof(EdgeId) * (n + 1));
+  // A default-constructed Graph has no offsets array at all, but its file,
+  // like any n = 0 CSR, still holds the single offset 0.
+  const EdgeId no_offsets[1] = {0};
+  write_bytes(os, g.offsets().empty() ? no_offsets : g.offsets().data(),
+              sizeof(EdgeId) * (n + 1));
   write_bytes(os, g.targets().data(), sizeof(VertexId) * arcs);
   if (!os) fail("write failed: " + path);
 }

@@ -4,6 +4,7 @@
 // properties the cross-commit perf trajectory depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <sstream>
@@ -192,6 +193,10 @@ TEST(PerfSuite, SpeedupsPositiveAndFiniteAcrossSeeds) {
             << fam.family << " " << run.algo << " p=" << run.p;
         EXPECT_TRUE(std::isfinite(run.speedup_vs_seq_bfs))
             << fam.family << " " << run.algo << " p=" << run.p;
+        EXPECT_GT(run.speedup_vs_best_seq, 0.0)
+            << fam.family << " " << run.algo << " p=" << run.p;
+        EXPECT_TRUE(std::isfinite(run.speedup_vs_best_seq))
+            << fam.family << " " << run.algo << " p=" << run.p;
         EXPECT_GT(run.timing.median_s, 0.0);
         EXPECT_EQ(run.timing.repetitions, 2u);
       }
@@ -201,6 +206,54 @@ TEST(PerfSuite, SpeedupsPositiveAndFiniteAcrossSeeds) {
     write_perf_suite_json(result, json);
     EXPECT_TRUE(JsonChecker(json.str()).valid()) << "seed=" << seed;
   }
+}
+
+// best_seq is the faster of the two one-thread forests the suite timed, and
+// every cell's speedup_vs_best_seq divides by it; without the p=1
+// direction-optimizing cell, seq_bfs is the only candidate.
+TEST(PerfSuite, BestSeqIsTheFasterOneThreadForest) {
+  PerfSuiteConfig cfg;
+  cfg.families = {"random-nlogn", "chain-seq"};
+  cfg.n = 4096;
+  cfg.threads = {2, 1};  // the p=1 cell comes last: the choice waits for it
+  cfg.repeats = 2;
+  cfg.seed = 5;
+  cfg.run_sv = false;
+  std::ostringstream progress;
+  const auto result = run_perf_suite(cfg, progress);
+  for (const auto& fam : result.families) {
+    double dir_p1 = 0.0;
+    for (const auto& run : fam.runs) {
+      if (run.algo == "parallel_bfs_dir" && run.p == 1) {
+        dir_p1 = run.timing.median_s;
+      }
+    }
+    ASSERT_GT(dir_p1, 0.0) << fam.family;
+    EXPECT_DOUBLE_EQ(fam.best_seq_median_s,
+                     std::min(fam.seq_bfs.median_s, dir_p1))
+        << fam.family;
+    EXPECT_EQ(fam.best_seq_algo, fam.seq_bfs.median_s <= dir_p1
+                                     ? "seq_bfs"
+                                     : "parallel_bfs_dir")
+        << fam.family;
+    for (const auto& run : fam.runs) {
+      EXPECT_DOUBLE_EQ(run.speedup_vs_best_seq,
+                       fam.best_seq_median_s / run.timing.median_s)
+          << fam.family << " " << run.algo << " p=" << run.p;
+    }
+  }
+  std::ostringstream json;
+  write_perf_suite_json(result, json);
+  EXPECT_TRUE(JsonChecker(json.str()).valid());
+  EXPECT_NE(json.str().find("\"best_seq\": {"), std::string::npos);
+  EXPECT_NE(json.str().find("\"speedup_vs_best_seq\""), std::string::npos);
+
+  cfg.run_dir = false;
+  cfg.families = {"random-nlogn"};
+  const auto no_dir = run_perf_suite(cfg, progress);
+  EXPECT_EQ(no_dir.families[0].best_seq_algo, "seq_bfs");
+  EXPECT_DOUBLE_EQ(no_dir.families[0].best_seq_median_s,
+                   no_dir.families[0].seq_bfs.median_s);
 }
 
 TEST(PerfSuite, RejectsUnknownFamily) {

@@ -94,8 +94,8 @@ TEST(Fuzz, SplitQueueMatchesDequeModel) {
           break;
         }
         default:
-          ASSERT_EQ(q.size(), model.size());
-          ASSERT_EQ(q.empty(), model.empty());
+          // Exact here: no other thread touches the queue.
+          ASSERT_EQ(q.size_hint(), model.size());
       }
     }
   }

@@ -2,6 +2,7 @@
 // queues, and the termination primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <new>
@@ -144,21 +145,21 @@ TEST(ThreadPool, PropagatesWorkerException) {
 TEST(SplitQueue, FifoOrder) {
   SplitQueue<int> q;
   for (int i = 0; i < 10; ++i) q.push(i);
-  EXPECT_EQ(q.size(), 10u);
+  EXPECT_EQ(q.size_hint(), 10u);
   int v = -1;
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(q.pop(v));
     EXPECT_EQ(v, i);
   }
   EXPECT_FALSE(q.pop(v));
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size_hint(), 0u);
 }
 
 TEST(SplitQueue, PushBulk) {
   SplitQueue<int> q;
   const int items[] = {1, 2, 3};
   q.push_bulk(items, 3);
-  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.size_hint(), 3u);
 }
 
 TEST(SplitQueue, StealTakesFromFront) {
@@ -177,7 +178,7 @@ TEST(SplitQueue, StealMoreThanAvailable) {
   q.push(42);
   std::vector<int> out;
   EXPECT_EQ(q.steal(out, 100), 1u);
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size_hint(), 0u);
   EXPECT_EQ(q.steal(out, 1), 0u);
 }
 
@@ -556,6 +557,56 @@ TEST(SplitQueue, PopExposesNextFrontAsHint) {
   EXPECT_EQ(v, 2);
   EXPECT_EQ(hint, -1);
   EXPECT_FALSE(q.pop(v, &hint));
+}
+
+TEST(SplitQueue, StealAfterStaleSizeHintTakesNothing) {
+  SplitQueue<int> q;
+  q.push(7);
+  // A thief's lock-free probe sees one element...
+  const std::size_t seen = q.size_hint();
+  ASSERT_EQ(seen, 1u);
+  // ...the owner takes it before the thief acts...
+  int v = -1;
+  ASSERT_TRUE(q.pop(v));
+  // ...so the steal, which re-checks under the lock, takes nothing and
+  // returns at once.
+  std::vector<int> out;
+  EXPECT_EQ(q.steal(out, seen), 0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(q.size_hint(), 0u);
+}
+
+TEST(SplitQueue, SizeHintProbesRaceOwnerSafely) {
+  // Thieves probe without the lock while the owner pushes and pops, the way
+  // idle Bader–Cong workers do; every item is consumed exactly once.
+  SplitQueue<int> q;
+  constexpr int kItems = 20000;
+  std::atomic<bool> stop{false};
+  std::atomic<int> stolen{0};
+  std::vector<std::thread> thieves;
+  for (int t = 0; t < 2; ++t) {
+    thieves.emplace_back([&] {
+      std::vector<int> loot;
+      while (!stop.load()) {
+        const std::size_t avail = q.size_hint();
+        if (avail == 0) continue;
+        loot.clear();
+        stolen.fetch_add(static_cast<int>(
+            q.steal(loot, std::max<std::size_t>(1, avail / 2))));
+      }
+    });
+  }
+  int popped = 0;
+  int v = -1;
+  for (int i = 0; i < kItems; ++i) {
+    q.push(i);
+    if (i % 2 == 0 && q.pop(v)) ++popped;
+  }
+  while (q.pop(v)) ++popped;
+  stop.store(true);
+  for (auto& t : thieves) t.join();
+  EXPECT_EQ(popped + stolen.load(), kItems);
+  EXPECT_EQ(q.size_hint(), 0u);
 }
 
 TEST(ChaseLevDeque, RoundUpSaturatesInsteadOfLoopingForever) {

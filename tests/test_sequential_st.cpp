@@ -1,10 +1,15 @@
 // Tests for the sequential baselines (BFS and DFS spanning forests).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <queue>
 #include <string>
+#include <vector>
 
 #include "core/bfs.hpp"
+#include "core/cancellation.hpp"
 #include "core/dfs.hpp"
 #include "core/validate.hpp"
 #include "gen/mesh.hpp"
@@ -13,6 +18,8 @@
 #include "gen/simple.hpp"
 #include "gen/torus.hpp"
 #include "graph/stats.hpp"
+#include "storage/blocked_graph.hpp"
+#include "storage/csr_file.hpp"
 
 namespace smpst {
 namespace {
@@ -52,6 +59,95 @@ TEST(Bfs, LevelsUnreachableAreInvalid) {
   const auto levels = bfs_levels(g, 0);
   EXPECT_EQ(levels[1], 1u);
   EXPECT_EQ(levels[2], kInvalidVertex);
+}
+
+// The forest bfs_spanning_tree must return exactly: a textbook std::queue
+// BFS from `source`, then from every unvisited vertex in id order, each
+// vertex's neighbours taken in CSR order.
+std::vector<VertexId> textbook_bfs_parents(const Graph& g, VertexId source) {
+  const VertexId n = g.num_vertices();
+  std::vector<VertexId> parent(n, kInvalidVertex);
+  std::queue<VertexId> fifo;
+  const auto run = [&](VertexId s) {
+    parent[s] = s;
+    fifo.push(s);
+    while (!fifo.empty()) {
+      const VertexId v = fifo.front();
+      fifo.pop();
+      for (VertexId w : g.neighbors(v)) {
+        if (parent[w] == kInvalidVertex) {
+          parent[w] = v;
+          fifo.push(w);
+        }
+      }
+    }
+  };
+  if (n == 0) return parent;
+  run(source);
+  for (VertexId v = 0; v < n; ++v) {
+    if (parent[v] == kInvalidVertex) run(v);
+  }
+  return parent;
+}
+
+/// Checks both backends against the textbook forest: the resident Graph and
+/// a BlockedGraph over the same CSR, its cache small enough to evict.
+void expect_textbook_forest(const Graph& g, VertexId source,
+                            const std::string& tag) {
+  const auto want = textbook_bfs_parents(g, source);
+  EXPECT_EQ(bfs_spanning_tree(g, source).parent, want) << tag << " resident";
+
+  const auto path = std::filesystem::path(::testing::TempDir()) /
+                    ("smpst_seq_bfs_" + tag + ".csr");
+  storage::write_csr_file(g, path.string());
+  storage::BlockCacheOptions opts;
+  opts.block_bytes = 512;
+  opts.budget_bytes = 16 * 512;
+  const storage::BlockedGraph bg(path.string(), opts);
+  EXPECT_EQ(bfs_spanning_tree(bg, source).parent, want) << tag << " blocked";
+}
+
+TEST(BfsMatchesTextbook, RandomNlogn) {
+  expect_textbook_forest(gen::make_family("random-nlogn", 1 << 14, 5), 0,
+                         "random_nlogn");
+}
+
+TEST(BfsMatchesTextbook, Whole2d60WithManyComponents) {
+  const Graph g = gen::make_family("2d60", 1 << 14, 6);
+  ASSERT_GT(compute_stats(g).num_components, 100u);
+  expect_textbook_forest(g, 0, "2d60");
+}
+
+TEST(BfsMatchesTextbook, StarAndChain) {
+  expect_textbook_forest(gen::make_family("star", 5000, 7), 0, "star");
+  expect_textbook_forest(gen::make_family("chain-seq", 5000, 7), 0, "chain");
+}
+
+TEST(BfsMatchesTextbook, NonZeroSource) {
+  const Graph g = gen::make_family("2d60", 1 << 12, 8);
+  expect_textbook_forest(g, g.num_vertices() / 2, "2d60_mid");
+  expect_textbook_forest(gen::make_family("star", 300, 8), 299, "star_leaf");
+}
+
+TEST(BfsMatchesTextbook, EmptyAndSingleVertex) {
+  expect_textbook_forest(Graph{}, 0, "empty");
+  expect_textbook_forest(Graph::from_csr({0, 0}, {}), 0, "single");
+}
+
+TEST(Bfs, LiveTokenReturnsSameForestAsNoToken) {
+  // Over 4096 dequeues, so the amortized poll fires mid-traversal too.
+  const Graph g = gen::make_family("2d60", 1 << 14, 9);
+  CancelToken token;
+  token.set_deadline(std::chrono::steady_clock::now() + std::chrono::hours(1));
+  EXPECT_EQ(bfs_spanning_tree(g, 0, &token).parent,
+            bfs_spanning_tree(g, 0).parent);
+}
+
+TEST(Bfs, PreExpiredTokenThrows) {
+  const Graph g = gen::make_family("random-nlogn", 1024, 9);
+  CancelToken token;
+  token.request_cancel();
+  EXPECT_THROW((void)bfs_spanning_tree(g, 0, &token), CancelledError);
 }
 
 TEST(Dfs, ChainFromEndIsStraightLine) {
