@@ -210,20 +210,27 @@ void run_storage_sweep(const Graph& g, PerfFamilyResult& fam,
     run.budget_fraction = static_cast<double>(pct) / 100.0;
     run.budget_bytes = copts.budget_bytes;
     run.block_bytes = copts.block_bytes;
-    SpanningForest forest;
+    // The warm-up and the validation pin blocks too; count only the timed
+    // repeats.
+    SpanningForest forest = bfs_spanning_tree(bg);
+    const auto before = bg.cache_stats();
     run.timing = time_repeated([&] { forest = bfs_spanning_tree(bg); },
-                               config.repeats);
+                               config.repeats, /*warmup=*/0);
+    const auto after = bg.cache_stats();
     const auto report = validate_spanning_forest(bg, forest);
     SMPST_CHECK(report.ok, report.error.c_str());
     run.slowdown_vs_resident =
         safe_speedup(run.timing.median_s, fam.seq_bfs.median_s);
-    const auto cstats = bg.cache_stats();
-    run.hits = cstats.hits;
-    run.misses = cstats.misses;
-    run.evictions = cstats.evictions;
-    run.hit_rate = cstats.hit_rate();
+    run.hits = after.hits - before.hits;
+    run.misses = after.misses - before.misses;
+    run.evictions = after.evictions - before.evictions;
+    run.hit_rate = storage::BlockCache::Stats{run.hits, run.misses}.hit_rate();
+    const std::uint64_t expanded = run.timing.repetitions * fam.n;
+    run.pins_per_vertex = static_cast<double>(run.hits + run.misses) /
+                          static_cast<double>(expanded);
     progress << "#   storage budget=" << pct
              << "% hit_rate=" << json_double(run.hit_rate)
+             << " pins_per_vertex=" << json_double(run.pins_per_vertex)
              << " slowdown=" << json_double(run.slowdown_vs_resident) << "\n";
     fam.storage.push_back(run);
   }
@@ -519,7 +526,9 @@ void write_perf_suite_json(const PerfSuiteResult& result, std::ostream& os) {
            << ",\n"
            << "          \"hits\": " << srun.hits << ",\n"
            << "          \"misses\": " << srun.misses << ",\n"
-           << "          \"evictions\": " << srun.evictions << "\n"
+           << "          \"evictions\": " << srun.evictions << ",\n"
+           << "          \"pins_per_vertex\": "
+           << json_double(srun.pins_per_vertex) << "\n"
            << "        }" << (si + 1 < fam.storage.size() ? "," : "") << "\n";
       }
       os << "      ]";

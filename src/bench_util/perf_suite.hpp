@@ -128,6 +128,8 @@ struct PerfStorageRun {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
+  /// (hits + misses) / (repetitions * n): cache pins per BFS-expanded vertex.
+  double pins_per_vertex = 0.0;
 };
 
 struct PerfFamilyResult {

@@ -68,10 +68,13 @@ BlockCache::BlockCache(std::string path, std::uint64_t file_bytes,
       (num_blocks_ + shards - 1) / static_cast<std::uint64_t>(shards);
   if (per_shard > cap) per_shard = static_cast<std::size_t>(cap);
   if (per_shard == 0) per_shard = 1;
+  // Frame indices are 32-bit in the frame table; kNotCached is the sentinel.
+  if (per_shard >= kNotCached) fail("budget holds too many frames per shard");
 
   shards_ = std::vector<Shard>(shards);
   for (Shard& sh : shards_) {
     LockGuard<Mutex> lk(sh.mutex);
+    sh.table.assign(static_cast<std::size_t>(cap), kNotCached);
     sh.frames.resize(per_shard);
     sh.free.reserve(per_shard);
     for (std::size_t i = per_shard; i > 0; --i) sh.free.push_back(i - 1);
@@ -90,8 +93,11 @@ BlockCache::~BlockCache() {
 }
 
 std::size_t BlockCache::memory_bytes() const noexcept {
+  const std::uint64_t table_slots =
+      (num_blocks_ + shards_.size() - 1) / shards_.size() * shards_.size();
   return frames_total_ * (block_bytes_ + sizeof(Frame)) +
-         shards_.size() * sizeof(Shard);
+         shards_.size() * sizeof(Shard) +
+         static_cast<std::size_t>(table_slots) * sizeof(std::uint32_t);
 }
 
 bool BlockCache::wait_for_unpin_locked(
@@ -156,12 +162,27 @@ std::size_t BlockCache::claim_frame_locked(
   }
   Frame& f = sh.frames[victim];
   SMPST_ASSERT(f.block != Frame::kNoBlock);
-  sh.map.erase(f.block);
+  sh.table[f.block / shards_.size()] = kNotCached;
   f.block = Frame::kNoBlock;
   evicted = true;
-  evictions_.fetch_add(1, std::memory_order_relaxed);
+  ++sh.evictions;
   obs_evictions_.add();
   return victim;
+}
+
+void BlockCache::abandon_load(const Location& at, Frame& f) noexcept {
+  read_errors_.fetch_add(1, std::memory_order_relaxed);
+  Shard& sh = at.shard;
+  {
+    LockGuard<Mutex> lk(sh.mutex);
+    sh.table[at.slot] = kNotCached;
+    f.block = Frame::kNoBlock;
+    f.loading = false;
+    f.pins = 0;
+    f.ref = false;
+    sh.free.push_back(static_cast<std::size_t>(&f - sh.frames.data()));
+  }
+  sh.cv.notify_all();
 }
 
 void BlockCache::read_block(std::uint64_t block, std::byte* dst) {
@@ -191,27 +212,28 @@ void BlockCache::read_block(std::uint64_t block, std::byte* dst) {
 
 const std::byte* BlockCache::pin(std::uint64_t block) {
   SMPST_ASSERT(block < num_blocks_);
-  Shard& sh = shard_of(block);
+  const Location at = locate(block);
+  Shard& sh = at.shard;
   std::chrono::steady_clock::time_point refuse_at{};
   for (;;) {
     Frame* claimed = nullptr;
     bool evicted = false;
     {
       LockGuard<Mutex> lk(sh.mutex);
-      const auto it = sh.map.find(block);
-      if (it != sh.map.end()) {
-        Frame& f = sh.frames[it->second];
+      const std::uint32_t cached = sh.table[at.slot];
+      if (cached != kNotCached) {
+        Frame& f = sh.frames[cached];
         if (f.loading) {
           // Another thread owns the disk read. Wait it out, then re-run the
-          // whole lookup: a failed load unmaps the block and may hand the
-          // frame to a different block entirely.
+          // whole lookup: a failed load clears the block's table entry and
+          // may hand the frame to a different block entirely.
           while (f.loading && f.block == block) sh.cv.wait(sh.mutex);
           continue;
         }
         ++f.pins;
         f.ref = true;
         f.last_use = ++sh.tick;
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        ++sh.hits;
         obs_hits_.add();
         return f.data.get();
       }
@@ -224,7 +246,7 @@ const std::byte* BlockCache::pin(std::uint64_t block) {
       f.ref = true;
       f.last_use = ++sh.tick;
       if (f.data == nullptr) f.data.reset(new std::byte[block_bytes_]);
-      sh.map.emplace(block, idx);
+      sh.table[at.slot] = static_cast<std::uint32_t>(idx);
       claimed = &f;
     }
 
@@ -243,39 +265,29 @@ const std::byte* BlockCache::pin(std::uint64_t block) {
     } catch (...) {
       // Counts every failed load — real pread errors and injected faults
       // alike; both take this rollback.
-      read_errors_.fetch_add(1, std::memory_order_relaxed);
-      {
-        LockGuard<Mutex> lk(sh.mutex);
-        sh.map.erase(block);
-        claimed->block = Frame::kNoBlock;
-        claimed->loading = false;
-        claimed->pins = 0;
-        claimed->ref = false;
-        sh.free.push_back(
-            static_cast<std::size_t>(claimed - sh.frames.data()));
-      }
-      sh.cv.notify_all();
+      abandon_load(at, *claimed);
       throw;
     }
     {
       LockGuard<Mutex> lk(sh.mutex);
       claimed->loading = false;
+      ++sh.misses;
     }
     sh.cv.notify_all();
-    misses_.fetch_add(1, std::memory_order_relaxed);
     obs_misses_.add();
     return claimed->data.get();
   }
 }
 
 void BlockCache::unpin(std::uint64_t block) noexcept {
-  Shard& sh = shard_of(block);
+  const Location at = locate(block);
+  Shard& sh = at.shard;
   bool wake = false;
   {
     LockGuard<Mutex> lk(sh.mutex);
-    const auto it = sh.map.find(block);
-    SMPST_ASSERT(it != sh.map.end());
-    Frame& f = sh.frames[it->second];
+    const std::uint32_t cached = sh.table[at.slot];
+    SMPST_ASSERT(cached != kNotCached);
+    Frame& f = sh.frames[cached];
     SMPST_ASSERT(f.pins > 0);
     --f.pins;
     wake = f.pins == 0 && sh.waiters > 0;
@@ -285,9 +297,12 @@ void BlockCache::unpin(std::uint64_t block) noexcept {
 
 BlockCache::Stats BlockCache::stats() const noexcept {
   Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
+  for (const Shard& sh : shards_) {
+    LockGuard<Mutex> lk(sh.mutex);
+    s.hits += sh.hits;
+    s.misses += sh.misses;
+    s.evictions += sh.evictions;
+  }
   s.read_errors = read_errors_.load(std::memory_order_relaxed);
   s.pin_refusals = pin_refusals_.load(std::memory_order_relaxed);
   return s;

@@ -22,8 +22,10 @@
 // so a caller that holds more pins than the shard has frames fails loudly
 // instead of deadlocking or corrupting a reader (see docs/STORAGE.md).
 //
-// Concurrency: state is sharded by block id; each shard is guarded by one
-// smpst::Mutex (lockdep rank storage.block_cache.shard). Disk reads happen
+// Concurrency: state is sharded by block id (block % shards); each shard is
+// guarded by one smpst::Mutex (lockdep rank storage.block_cache.shard) and
+// finds a block's frame in an array indexed by block / shards, sized when the
+// cache opens because the block count is known then. Disk reads happen
 // OUTSIDE the shard lock: a miss claims a frame, marks it loading, drops the
 // lock, reads, then clears the flag and notifies — concurrent pins of the
 // same block wait on the shard's CondVar, pins of other blocks proceed. The
@@ -38,7 +40,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -115,7 +116,8 @@ class BlockCache {
   [[nodiscard]] std::size_t num_frames() const noexcept {
     return frames_total_;
   }
-  /// Bytes this cache is charged for: frame data plus per-frame metadata.
+  /// Bytes this cache is charged for: frame data, per-frame metadata and the
+  /// frame table (4 bytes per block).
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
@@ -129,20 +131,33 @@ class BlockCache {
     std::unique_ptr<std::byte[]> data;  // allocated on first claim
   };
 
+  static constexpr std::uint32_t kNotCached = ~std::uint32_t{0};
+
   struct Shard {
     mutable Mutex mutex{lockdep::rank::kStorageCacheShard};
     CondVar cv;  // load-completion waits; paired with mutex
-    std::unordered_map<std::uint64_t, std::size_t> map
-        SMPST_GUARDED_BY(mutex);  // block id -> frame index
+    // Frame index of each of the shard's blocks (block / shards), or
+    // kNotCached.
+    std::vector<std::uint32_t> table SMPST_GUARDED_BY(mutex);
     std::vector<Frame> frames SMPST_GUARDED_BY(mutex);
     std::vector<std::size_t> free SMPST_GUARDED_BY(mutex);
     std::size_t hand SMPST_GUARDED_BY(mutex) = 0;  // CLOCK sweep position
     std::uint64_t tick SMPST_GUARDED_BY(mutex) = 0;
     std::size_t waiters SMPST_GUARDED_BY(mutex) = 0;  // misses awaiting unpin
+    std::uint64_t hits SMPST_GUARDED_BY(mutex) = 0;
+    std::uint64_t misses SMPST_GUARDED_BY(mutex) = 0;
+    std::uint64_t evictions SMPST_GUARDED_BY(mutex) = 0;
   };
 
-  [[nodiscard]] Shard& shard_of(std::uint64_t block) noexcept {
-    return shards_[block % shards_.size()];
+  /// The block's shard and its index in that shard's frame table.
+  struct Location {
+    Shard& shard;
+    std::size_t slot;
+  };
+  [[nodiscard]] Location locate(std::uint64_t block) noexcept {
+    const std::uint64_t n = shards_.size();
+    const std::uint64_t slot = block / n;
+    return {shards_[block - slot * n], static_cast<std::size_t>(slot)};
   }
   static constexpr std::size_t kNoFrame = ~std::size_t{0};
   /// Waits on the shard's CondVar for an unpin. The first wait of a pin()
@@ -160,6 +175,10 @@ class BlockCache {
       Shard& sh, bool& evicted,
       std::chrono::steady_clock::time_point& refuse_at)
       SMPST_REQUIRES(sh.mutex);
+  /// Rolls back a load that threw: clears the block's table entry and
+  /// returns its frame to the free list, so the cache stays usable. Cannot
+  /// throw: the free list has capacity for every frame of the shard.
+  void abandon_load(const Location& at, Frame& f) noexcept;
   void read_block(std::uint64_t block, std::byte* dst);
 
   const std::string path_;
@@ -171,9 +190,6 @@ class BlockCache {
   std::size_t frames_total_ = 0;
   std::vector<Shard> shards_;
 
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> read_errors_{0};
   std::atomic<std::uint64_t> pin_refusals_{0};
 

@@ -98,10 +98,13 @@ class BlockedGraph {
   }
   [[nodiscard]] EdgeId num_arcs() const noexcept { return header_.num_arcs; }
 
-  /// Degree via two cached offset reads. Throws StorageError on I/O failure.
+  /// Degree from the two bounding offsets: one pin, two when they straddle a
+  /// block. Throws StorageError on I/O failure.
   [[nodiscard]] EdgeId degree(VertexId v) const;
 
-  /// Sorted neighbour slice of v; see the class comment for pinning rules.
+  /// Sorted neighbour slice of v: one pin for the offsets (as degree()),
+  /// then one for the targets unless v is isolated. See the class comment
+  /// for the pin the span holds.
   [[nodiscard]] NeighborSpan neighbors(VertexId v) const;
 
   /// Bytes this graph is charged against a registry budget: the block-cache
@@ -124,11 +127,14 @@ class BlockedGraph {
   }
 
  private:
-  [[nodiscard]] EdgeId offset_at(std::uint64_t i) const;
+  /// offsets[v] and offsets[v + 1], read under one pin unless the pair
+  /// straddles a block (1 vertex in block_bytes / 8).
+  [[nodiscard]] std::pair<EdgeId, EdgeId> offset_pair(VertexId v) const;
 
   std::string path_;
   CsrFileHeader header_;
   mutable BlockCache cache_;
+  int block_shift_;  // log2 of the block size: block = byte >> shift
 };
 
 static_assert(!is_resident_v<BlockedGraph>,

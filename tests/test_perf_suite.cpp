@@ -14,6 +14,7 @@
 #include "bench_util/perf_suite.hpp"
 #include "gen/registry.hpp"
 #include "model/cost_model.hpp"
+#include "storage/csr_file.hpp"
 
 namespace smpst::bench {
 namespace {
@@ -335,10 +336,33 @@ TEST(PerfSuite, StorageSweepCliFlags) {
   EXPECT_EQ(cfg.storage_block_bytes, 4096u);
 }
 
+// Cache pins one sequential BFS takes over a BlockedGraph of `g` with
+// `block`-byte blocks, from the file layout alone: each vertex is expanded
+// once, and neighbors(v) pins the offset pair's block (two when the pair
+// straddles a boundary), then each block its target slice touches.
+std::uint64_t pins_per_bfs(const Graph& g, std::uint64_t block) {
+  const std::uint64_t n = g.num_vertices();
+  const std::uint64_t targets_pos =
+      storage::kCsrHeaderBytes + sizeof(EdgeId) * (n + 1);
+  std::uint64_t pins = 0;
+  for (std::uint64_t v = 0; v < n; ++v) {
+    const std::uint64_t at = storage::kCsrHeaderBytes + sizeof(EdgeId) * v;
+    pins += at / block == (at + 2 * sizeof(EdgeId) - 1) / block ? 1 : 2;
+    const std::uint64_t lo = g.offsets()[v];
+    const std::uint64_t hi = g.offsets()[v + 1];
+    if (lo == hi) continue;
+    pins += (targets_pos + sizeof(VertexId) * hi - 1) / block -
+            (targets_pos + sizeof(VertexId) * lo) / block + 1;
+  }
+  return pins;
+}
+
 // The blocked-backend sweep: one PerfStorageRun per budget percentage, all
 // slowdowns finite and positive, the 100% run at least as cache-friendly as
 // the starved run, and the emitted JSON (with the additive "storage"
-// section) still strictly valid.
+// section) still strictly valid. The counts cover the timed repeats alone
+// (no warm-up, no validation pass): exactly `repeats` BFS runs' pins, about
+// two per vertex.
 TEST(PerfSuite, StorageSweepReportsHitRatePerBudget) {
   PerfSuiteConfig cfg;
   cfg.families = {"random-nlogn"};
@@ -375,6 +399,21 @@ TEST(PerfSuite, StorageSweepReportsHitRatePerBudget) {
   EXPECT_EQ(full.evictions, 0u);
   EXPECT_GT(starved.evictions, 0u);
   EXPECT_GE(full.hit_rate, starved.hit_rate);
+  // The untimed warm-up loaded every block the full budget ever needs.
+  EXPECT_EQ(full.misses, 0u);
+
+  const Graph g = gen::make_family("random-nlogn", cfg.n, cfg.seed);
+  ASSERT_EQ(fam.n, g.num_vertices());
+  const std::uint64_t per_bfs = pins_per_bfs(g, cfg.storage_block_bytes);
+  for (const auto& srun : fam.storage) {
+    EXPECT_EQ(srun.timing.repetitions, cfg.repeats);
+    EXPECT_EQ(srun.hits + srun.misses, cfg.repeats * per_bfs);
+    EXPECT_DOUBLE_EQ(srun.pins_per_vertex,
+                     static_cast<double>(per_bfs) /
+                         static_cast<double>(g.num_vertices()));
+    EXPECT_GE(srun.pins_per_vertex, 2.0);
+    EXPECT_LT(srun.pins_per_vertex, 2.5);
+  }
 
   std::ostringstream json;
   write_perf_suite_json(result, json);
@@ -382,6 +421,7 @@ TEST(PerfSuite, StorageSweepReportsHitRatePerBudget) {
   EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
   EXPECT_NE(doc.find("\"storage\": ["), std::string::npos);
   EXPECT_NE(doc.find("\"hit_rate\""), std::string::npos);
+  EXPECT_NE(doc.find("\"pins_per_vertex\""), std::string::npos);
 }
 
 // The direction-optimizing column must carry its observability fields: the

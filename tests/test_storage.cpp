@@ -17,6 +17,7 @@
 
 #include "core/algorithms.hpp"
 #include "gen/registry.hpp"
+#include "graph/builder.hpp"
 #include "sched/thread_pool.hpp"
 #include "service/executor.hpp"
 #include "service/graph_registry.hpp"
@@ -42,6 +43,29 @@ std::string csr_path_for(const Graph& g, const std::string& tag) {
 
 Graph medium_graph(std::uint64_t seed = 1) {
   return gen::make_family("random-nlogn", 1024, seed);
+}
+
+std::vector<char> file_contents(const std::string& path) {
+  std::ifstream raw(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(raw),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Pins and unpins `block`, expecting the file's bytes in the frame.
+void expect_block_matches(BlockCache& cache, std::uint64_t block,
+                          const std::vector<char>& file_bytes) {
+  const std::byte* data = cache.pin(block);
+  const std::size_t off = static_cast<std::size_t>(block) * cache.block_bytes();
+  const std::size_t len =
+      std::min<std::size_t>(cache.block_bytes(), file_bytes.size() - off);
+  EXPECT_EQ(std::memcmp(data, file_bytes.data() + off, len), 0)
+      << "block " << block;
+  cache.unpin(block);
+}
+
+/// Cache pins (hits + misses) so far.
+std::uint64_t pins_taken(const BlockCache::Stats& s) {
+  return s.hits + s.misses;
 }
 
 // ------------------------------------------------------------- file format
@@ -141,12 +165,11 @@ TEST(BlockCache, MissWaitsForAnotherThreadsUnpin) {
 TEST(BlockCache, PinnedBytesMatchTheFileUnderBothPolicies) {
   const Graph g = medium_graph();
   const std::string path = csr_path_for(g, "verify");
-  std::ifstream raw(path, std::ios::binary);
-  const std::vector<char> file_bytes{std::istreambuf_iterator<char>(raw),
-                                     std::istreambuf_iterator<char>()};
+  const std::vector<char> file_bytes = file_contents(path);
 
   for (const EvictionPolicy policy :
        {EvictionPolicy::kClock, EvictionPolicy::kLru}) {
+    SCOPED_TRACE(to_string(policy));
     BlockCacheOptions opts;
     opts.block_bytes = 256;
     opts.budget_bytes = 8 * 256;  // far fewer frames than blocks: evict a lot
@@ -157,15 +180,8 @@ TEST(BlockCache, PinnedBytesMatchTheFileUnderBothPolicies) {
     // blocks the first pass evicted.
     for (int pass = 0; pass < 2; ++pass) {
       for (std::uint64_t i = 0; i < cache.num_blocks(); ++i) {
-        const std::uint64_t b =
-            pass == 0 ? i : cache.num_blocks() - 1 - i;
-        const std::byte* data = cache.pin(b);
-        const std::size_t off = static_cast<std::size_t>(b) * 256;
-        const std::size_t len = std::min<std::size_t>(
-            256, file_bytes.size() - off);
-        EXPECT_EQ(std::memcmp(data, file_bytes.data() + off, len), 0)
-            << "block " << b << " policy " << to_string(policy);
-        cache.unpin(b);
+        expect_block_matches(
+            cache, pass == 0 ? i : cache.num_blocks() - 1 - i, file_bytes);
       }
     }
     EXPECT_GT(cache.stats().evictions, 0u);
@@ -178,9 +194,7 @@ TEST(BlockCache, PinnedBytesMatchTheFileUnderBothPolicies) {
 TEST(BlockCache, ConcurrentPinUnpinKeepsContentsStable) {
   const Graph g = medium_graph(7);
   const std::string path = csr_path_for(g, "hammer");
-  std::ifstream raw(path, std::ios::binary);
-  const std::vector<char> file_bytes{std::istreambuf_iterator<char>(raw),
-                                     std::istreambuf_iterator<char>()};
+  const std::vector<char> file_bytes = file_contents(path);
 
   BlockCacheOptions opts;
   opts.block_bytes = 128;
@@ -244,6 +258,102 @@ TEST(BlockCache, ReadFailpointSurfacesAndLeavesTheCacheUsable) {
   EXPECT_GE(cache.stats().read_errors, 1u);
 }
 
+// The frame table is an array per shard indexed by block / shards. A block
+// count that is not a multiple of the shard count leaves the last slot of
+// some shards unused; more shards than blocks leaves some shards empty.
+// Every block must still evict, reload and read back its own bytes.
+TEST(BlockCache, FrameTableServesEveryBlockForUnevenShardCounts) {
+  const Graph g = medium_graph(29);
+  const std::string path = csr_path_for(g, "table");
+  const std::vector<char> file_bytes = file_contents(path);
+  const std::uint64_t blocks = (file_bytes.size() + 63) / 64;
+  std::size_t uneven = 3;
+  while (blocks % uneven == 0) ++uneven;
+
+  for (const std::size_t shards :
+       {uneven, static_cast<std::size_t>(blocks + 5)}) {
+    for (const EvictionPolicy policy :
+         {EvictionPolicy::kClock, EvictionPolicy::kLru}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " + to_string(policy));
+      BlockCacheOptions opts;
+      opts.block_bytes = 64;
+      opts.budget_bytes = 1;  // two frames per shard (one past the blocks)
+      opts.shards = shards;
+      opts.policy = policy;
+      BlockCache cache(path, file_bytes.size(), opts);
+      ASSERT_EQ(cache.num_blocks(), blocks);
+      // Two ascending sweeps: with more blocks per shard than frames, a
+      // cyclic sweep misses on every pin under both policies, so the second
+      // pass evicts and reloads every block.
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t b = 0; b < blocks; ++b) {
+          expect_block_matches(cache, b, file_bytes);
+        }
+      }
+      const auto st = cache.stats();
+      if (shards < blocks) {
+        EXPECT_EQ(st.misses, 2 * blocks);
+        EXPECT_EQ(st.hits, 0u);
+        EXPECT_EQ(st.evictions, 2 * blocks - cache.num_frames());
+      } else {
+        EXPECT_EQ(cache.num_frames(), shards);  // one frame per shard
+        EXPECT_EQ(st.misses, blocks);
+        EXPECT_EQ(st.hits, blocks);
+        EXPECT_EQ(st.evictions, 0u);
+      }
+    }
+  }
+}
+
+// A failed load clears the block's table entry: the next pin of the same
+// block misses, reads the right bytes and unpins cleanly, and only the
+// successful load counts as a miss.
+TEST(BlockCache, FailedLoadClearsItsFrameTableEntry) {
+  const Graph g = medium_graph();
+  const std::string path = csr_path_for(g, "table_rollback");
+  const std::vector<char> file_bytes = file_contents(path);
+  BlockCacheOptions opts;
+  opts.block_bytes = 256;
+  opts.budget_bytes = 1;  // two frames per shard
+  opts.shards = 2;
+  BlockCache cache(path, file_bytes.size(), opts);
+  ASSERT_GT(cache.num_blocks(), 8u);
+
+  expect_block_matches(cache, 5, file_bytes);
+  fail::enable("storage.block.read", "throw");
+  EXPECT_THROW((void)cache.pin(7), fail::FailpointError);
+  fail::disable_all();
+
+  expect_block_matches(cache, 7, file_bytes);
+  expect_block_matches(cache, 7, file_bytes);
+  expect_block_matches(cache, 5, file_bytes);
+  const auto st = cache.stats();
+  EXPECT_EQ(st.read_errors, 1u);
+  EXPECT_EQ(st.misses, 2u);  // 5 and 7, once each
+  EXPECT_EQ(st.hits, 2u);
+}
+
+// memory_bytes() charges 4 bytes per frame-table slot: two caches with the
+// same frames and shards differ by exactly the table growth.
+TEST(BlockCache, MemoryBytesChargesTheFrameTable) {
+  const Graph big = gen::make_family("random-nlogn", 4096, 1);
+  const std::string small = csr_path_for(medium_graph(), "table_small");
+  const std::string large = csr_path_for(big, "table_large");
+  BlockCacheOptions opts;
+  opts.block_bytes = 64;
+  opts.budget_bytes = 1;  // two frames per shard in both caches
+  opts.shards = 3;
+  const BlockCache a(small, fs::file_size(small), opts);
+  const BlockCache b(large, fs::file_size(large), opts);
+  ASSERT_EQ(a.num_frames(), b.num_frames());
+  const auto slots = [&](const BlockCache& c) {
+    return (c.num_blocks() + opts.shards - 1) / opts.shards * opts.shards;
+  };
+  ASSERT_GT(slots(b), slots(a));
+  EXPECT_EQ(b.memory_bytes() - a.memory_bytes(),
+            (slots(b) - slots(a)) * sizeof(std::uint32_t));
+}
+
 TEST(BlockCache, ParsesEvictionPolicyNames) {
   EXPECT_EQ(parse_eviction_policy("clock"), EvictionPolicy::kClock);
   EXPECT_EQ(parse_eviction_policy("lru"), EvictionPolicy::kLru);
@@ -275,6 +385,76 @@ TEST(BlockedGraph, MatchesResidentAdjacencyUnderEvictionPressure) {
   }
   EXPECT_GT(bg.cache_stats().evictions, 0u);
   EXPECT_LT(bg.memory_bytes(), bg.csr_bytes());
+}
+
+// neighbors(v) pins the offsets once (twice when offsets[v] is the last
+// entry of its block) and then each block of the target slice; degree(v)
+// only pins the offsets. Checked on every vertex of a graph with isolated
+// vertices against the counts the file layout implies, with 4 KiB blocks.
+TEST(BlockedGraph, NeighborsPinsOffsetsOnce) {
+  constexpr VertexId kN = 1200;
+  constexpr std::uint64_t kBlock = 4096;
+  const auto isolated = [](VertexId v) { return v == 100 || v == 700; };
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v + 1 < kN; ++v) {
+    if (!isolated(v) && !isolated(v + 1)) edges.push_back({v, v + 1});
+    if (v % 5 == 0 && v + 40 < kN && !isolated(v) && !isolated(v + 40)) {
+      edges.push_back({v, v + 40});
+    }
+  }
+  const Graph g = GraphBuilder::from_edges(kN, std::move(edges));
+  const std::string path = csr_path_for(g, "pins");
+  BlockCacheOptions opts;
+  opts.block_bytes = kBlock;
+  const BlockedGraph bg(path, opts);
+  const CsrFileHeader& h = bg.header();
+
+  const auto straddles = [&](VertexId v) {
+    const std::uint64_t at = h.offsets_pos + sizeof(EdgeId) * (v + 1);
+    return at % kBlock == 0;  // offsets[v] ends its block
+  };
+  const auto target_blocks = [&](VertexId v) -> std::uint64_t {
+    const std::uint64_t lo = g.offsets()[v];
+    const std::uint64_t hi = g.offsets()[v + 1];
+    if (lo == hi) return 0;
+    return (h.targets_pos + sizeof(VertexId) * hi - 1) / kBlock -
+           (h.targets_pos + sizeof(VertexId) * lo) / kBlock + 1;
+  };
+  const auto neighbor_pins = [&](VertexId v) {
+    const std::uint64_t before = pins_taken(bg.cache_stats());
+    const NeighborSpan span = bg.neighbors(v);
+    const auto want = g.neighbors(v);
+    EXPECT_EQ(std::vector<VertexId>(span.begin(), span.end()),
+              std::vector<VertexId>(want.begin(), want.end()))
+        << "vertex " << v;
+    return pins_taken(bg.cache_stats()) - before;
+  };
+  const auto degree_pins = [&](VertexId v) {
+    const std::uint64_t before = pins_taken(bg.cache_stats());
+    EXPECT_EQ(bg.degree(v), g.degree(v)) << "vertex " << v;
+    return pins_taken(bg.cache_stats()) - before;
+  };
+
+  // The named cases: 64 + 8(v+1) is a multiple of 4096 at v = 503, 1015.
+  ASSERT_TRUE(straddles(503));
+  ASSERT_TRUE(straddles(1015));
+  ASSERT_EQ(target_blocks(503), 1u);
+  ASSERT_EQ(target_blocks(10), 1u);
+  EXPECT_EQ(neighbor_pins(10), 2u);   // interior vertex
+  EXPECT_EQ(neighbor_pins(503), 3u);  // offset pair straddles a block
+  EXPECT_EQ(neighbor_pins(100), 1u);  // isolated: no targets pin
+  EXPECT_EQ(degree_pins(10), 1u);
+  EXPECT_EQ(degree_pins(503), 2u);
+
+  std::uint64_t straddling = 0;
+  for (VertexId v = 0; v < kN; ++v) {
+    const std::uint64_t offset_pins = straddles(v) ? 2 : 1;
+    straddling += offset_pins - 1;
+    EXPECT_EQ(neighbor_pins(v), offset_pins + target_blocks(v))
+        << "vertex " << v;
+    EXPECT_EQ(degree_pins(v), offset_pins) << "vertex " << v;
+  }
+  EXPECT_EQ(straddling, 2u);
 }
 
 // Determinism contract: at p=1 every kernel with a blocked instantiation is
