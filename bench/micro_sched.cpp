@@ -1,8 +1,8 @@
 // Google-benchmark micro-benchmarks of the runtime substrate: PRNG
-// throughput, spinlock round trips, queue operations (SplitQueue vs
-// Chase-Lev), the pending counter (shared RMW vs per-worker credit), barrier
-// episodes, region launches, and CSR traversal — the constants behind the
-// Helman-JáJá machine parameters.
+// throughput, spinlock round trips, SplitQueue operations (one expansion's
+// queue traffic in one lock round trip or two), the pending counter (shared
+// RMW vs per-worker credit), barrier episodes, region launches, and CSR
+// traversal — the constants behind the Helman-JáJá machine parameters.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -58,15 +58,38 @@ void BM_SplitQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitQueuePushPop);
 
-void BM_ChaseLevPushPop(benchmark::State& state) {
-  ChaseLevDeque<VertexId> q;
+// One Bader–Cong expansion's queue traffic on a steady frontier of 256
+// vertices: one vertex out, one child in (a BFS tree's mean). TwoRoundTrips
+// is the owner path before the ring: pop, then push_bulk the child staged in
+// a vector. OneRoundTrip writes the child past the tail and publishes it
+// with the next pop. The gap is the cost of the second lock round trip and
+// the staging copy, per vertex.
+void BM_ExpansionQueueTwoRoundTrips(benchmark::State& state) {
+  SplitQueue<VertexId> q;
+  for (VertexId i = 0; i < 256; ++i) q.push(i);
+  std::vector<VertexId> staged;
+  staged.reserve(16);
   VertexId v = 0;
   for (auto _ : state) {
-    q.push(1);
     benchmark::DoNotOptimize(q.pop(v));
+    staged.clear();
+    staged.push_back(v);
+    q.push_bulk(staged.data(), staged.size());
   }
 }
-BENCHMARK(BM_ChaseLevPushPop);
+BENCHMARK(BM_ExpansionQueueTwoRoundTrips);
+
+void BM_ExpansionQueueOneRoundTrip(benchmark::State& state) {
+  SplitQueue<VertexId> q;
+  for (VertexId i = 0; i < 256; ++i) q.push(i);
+  VertexId v = 0;
+  benchmark::DoNotOptimize(q.pop(v));
+  for (auto _ : state) {
+    q.tail_slots(1)[0] = v;
+    benchmark::DoNotOptimize(q.publish_and_pop(1, v));
+  }
+}
+BENCHMARK(BM_ExpansionQueueOneRoundTrip);
 
 void BM_SplitQueueStealHalf(benchmark::State& state) {
   SplitQueue<VertexId> q;

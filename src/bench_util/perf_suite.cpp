@@ -121,6 +121,7 @@ PerfRun measure_bader_cong(const Graph& g, ThreadPool& pool, std::size_t p,
     run.steal_attempts += t.steal_attempts;
     run.sleep_episodes += t.sleep_episodes;
     run.pending_updates += t.pending_updates;
+    run.roots_claimed += t.roots_claimed;
   }
   run.duplicate_expansions = stats.duplicate_expansions;
   run.fallback_triggered = stats.fallback_triggered;
@@ -194,6 +195,12 @@ void run_storage_sweep(const Graph& g, PerfFamilyResult& fam,
   storage::write_csr_file(g, file.string());
   const auto header = storage::read_csr_header(file.string());
   fam.csr_bytes = header.payload_bytes();
+  // Budgets are shares of the file's blocks, header included: a share of the
+  // payload alone leaves a block without a frame at 100% whenever the
+  // payload is a whole number of blocks.
+  const std::uint64_t block_bytes = config.storage_block_bytes;
+  const std::uint64_t file_block_bytes =
+      (header.file_bytes + block_bytes - 1) / block_bytes * block_bytes;
 
   for (const std::int64_t pct : config.storage_budget_percents) {
     SMPST_CHECK(pct >= 1 && pct <= 100,
@@ -202,7 +209,7 @@ void run_storage_sweep(const Graph& g, PerfFamilyResult& fam,
     copts.block_bytes = config.storage_block_bytes;
     copts.budget_bytes = std::max<std::size_t>(
         copts.block_bytes,
-        static_cast<std::size_t>(fam.csr_bytes *
+        static_cast<std::size_t>(file_block_bytes *
                                  static_cast<std::uint64_t>(pct) / 100));
     const storage::BlockedGraph bg(file.string(), copts);
 
@@ -484,6 +491,7 @@ void write_perf_suite_json(const PerfSuiteResult& result, std::ostream& os) {
          << run.duplicate_expansions << ",\n"
          << "            \"sleep_episodes\": " << run.sleep_episodes << ",\n"
          << "            \"pending_updates\": " << run.pending_updates << ",\n"
+         << "            \"roots_claimed\": " << run.roots_claimed << ",\n"
          << "            \"fallback_triggered\": "
          << (run.fallback_triggered ? "true" : "false") << ",\n"
          << "            \"load_imbalance\": "

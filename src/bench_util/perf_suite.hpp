@@ -97,6 +97,8 @@ struct PerfRun {
   std::uint64_t sleep_episodes = 0;
   /// RMWs on the shared pending counter, summed over workers.
   std::uint64_t pending_updates = 0;
+  /// Component roots claimed after the stub's, summed over workers.
+  std::uint64_t roots_claimed = 0;
   bool fallback_triggered = false;
   double load_imbalance = 0.0;
   double stub_s = 0.0;  ///< TraversalStats phase times

@@ -47,17 +47,19 @@ struct WorkerSlot {
 /// arguments.
 template <storage::GraphStorage GS>
 struct TraversalState {
-  explicit TraversalState(const GS& graph, std::size_t p)
-      // Deliberately *uninitialized* allocations (no make_unique, which
+  /// The traversal writes parent pointers straight into `forest_parent`, the
+  /// result forest's array of n entries.
+  TraversalState(const GS& graph, std::size_t p, VertexId* forest_parent)
+      // Deliberately *uninitialized* allocation (no make_unique, which
       // value-initializes): zero-filling n words here would first-touch every
-      // colour/parent page on the calling thread's NUMA node. The pages are
-      // faulted in by first_touch_init() instead, each from the worker that
-      // owns the shard, so on a pinned multi-node pool each node serves its
-      // own shard's traffic.
+      // colour page on the calling thread's NUMA node. The pages are faulted
+      // in by first_touch_init() instead, each from the worker that owns the
+      // shard, so on a pinned multi-node pool each node serves its own
+      // shard's traffic.
       : g(graph),
         n(graph.num_vertices()),
         color(new std::uint32_t[n]),
-        parent(new VertexId[n]),
+        parent(forest_parent),
         workers(p) {}
 
   /// Vertex-ownership shards: contiguous blocks, worker t owns
@@ -74,27 +76,20 @@ struct TraversalState {
   }
 
   /// NUMA-aware first touch: every worker initializes (and thereby places)
-  /// its own shard of the colour/parent arrays and pre-sizes its own queue.
-  /// One parallel region, run before phase 1; the region join publishes the
-  /// writes to the traversal region that follows. The benign-race wrappers
-  /// cost nothing in normal builds and keep the shard writes visible to the
-  /// same annotation audit as the traversal's accesses.
+  /// its own shard of the colour array. One parallel region, run before
+  /// phase 1; the region join publishes the writes to the traversal region
+  /// that follows. The benign-race wrapper costs nothing in normal builds
+  /// and keeps the shard writes visible to the same annotation audit as the
+  /// traversal's accesses. The parent array is the forest's, which the
+  /// caller has filled already.
   void first_touch_init(ThreadPool& pool) {
-    // Pre-size every worker's queue for its expected share of the frontier:
-    // push_bulk must never reallocate mid-traversal, because the owner holds
-    // the queue's SpinLock across the insert and a reallocation stretches
-    // that critical section exactly when a thief is spinning on it.
-    const std::size_t expected =
-        static_cast<std::size_t>(n) / workers.size() + 64;
     pool.run([&](std::size_t tid) {
       SMPST_TRACE_SCOPE("bc.first_touch");
       const VertexId lo = shard_lo(tid);
       const VertexId hi = shard_hi(tid);
       for (VertexId v = lo; v < hi; ++v) {
         SMPST_BENIGN_RACE_STORE(color[v], 0u);
-        SMPST_BENIGN_RACE_STORE(parent[v], kInvalidVertex);
       }
-      workers[tid]->queue.reserve(expected);
     });
   }
 
@@ -103,7 +98,7 @@ struct TraversalState {
   const GS& g;
   const VertexId n;
   std::unique_ptr<std::uint32_t[]> color;
-  std::unique_ptr<VertexId[]> parent;
+  VertexId* const parent;
   std::vector<Padded<WorkerSlot>> workers;
 
   alignas(kCacheLineSize) PendingCounter pending;
@@ -168,22 +163,28 @@ RootClaim try_claim_root(TraversalState<GS>& st, std::size_t tid,
   return RootClaim::kClaimed;
 }
 
-/// Expands one vertex: colour-and-enqueue every unvisited neighbour (Alg. 1
-/// lines 2.3–2.7).
 /// Colour lines of neighbours this many iterations ahead are prefetched; far
 /// enough to cover an L2 miss at typical expansion cost, near enough that the
 /// line is rarely evicted again before use.
 constexpr std::size_t kColorPrefetchDistance = 4;
 
+/// Expansions between two looks at the stop flags, the expand failpoint and
+/// the cancel token: rare enough to keep them off the per-vertex path, often
+/// enough that a stop is seen within microseconds.
+constexpr std::size_t kExpansionsPerCheck = 64;
+
+/// Expands one vertex: colours every unvisited neighbour and writes it into
+/// the slots past the worker's published tail (Alg. 1 lines 2.3–2.7).
+/// Returns the number of children written; the caller publishes them.
 template <storage::GraphStorage GS>
-void expand_vertex(TraversalState<GS>& st, std::size_t tid,
-                   std::uint32_t label, VertexId v,
-                   std::vector<VertexId>& children, PendingCredit& credit,
-                   ThreadStats& ts) {
-  children.clear();
+std::size_t expand_vertex(TraversalState<GS>& st, SplitQueue<VertexId>& queue,
+                          std::uint32_t label, VertexId v,
+                          std::uint64_t& edges_scanned) {
   const auto nbrs = st.g.neighbors(v);
   const std::size_t deg = nbrs.size();
-  ts.edges_scanned += deg;
+  edges_scanned += deg;
+  const auto children = queue.tail_slots(deg);
+  std::size_t k = 0;
   for (std::size_t i = 0; i < deg; ++i) {
     // The colour check is a random access per edge — the traversal's
     // dominant miss source — so request upcoming lines a few edges early.
@@ -195,26 +196,14 @@ void expand_vertex(TraversalState<GS>& st, std::size_t tid,
     // Two threads may both see 0 and both enqueue w; the duplicate expansion
     // is absorbed by the pending counter and parent stays valid either way.
     // These stores reach the worker that expands w through the queue's lock
-    // (push_bulk here, pop or steal there), never through the counter.
+    // (publish_and_pop here, pop or steal there), never through the counter.
     if (SMPST_BENIGN_RACE_LOAD(st.color[w]) == 0) {
       SMPST_BENIGN_RACE_STORE(st.color[w], label);
       SMPST_BENIGN_RACE_STORE(st.parent[w], v);
-      children.push_back(w);
+      children[k++] = w;
     }
   }
-  // Children counted (+k) and v consumed (-1) *before* the children are
-  // published, out of this worker's credit where it covers k-1, so the
-  // shared counter can never drain while any coloured-but-uncounted child
-  // exists, and a thief can never consume a child not yet counted. Most
-  // expansions leave the shared cacheline alone.
-  credit.consumed_produced(st.pending,
-                          static_cast<std::int64_t>(children.size()));
-  if (!children.empty()) {
-    st.workers[tid]->queue.push_bulk(children.data(), children.size());
-    ts.enqueues += children.size();
-    st.gate.notify_work();
-  }
-  ++ts.vertices_processed;
+  return k;
 }
 
 template <storage::GraphStorage GS>
@@ -230,12 +219,14 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
                                   static_cast<double>(p)));
   Xoshiro256 rng(derive_stream_seed(opts.seed, 0x1000 + tid));
 
-  std::vector<VertexId> children;
-  children.reserve(1024);
   std::vector<VertexId> stolen;
   std::size_t starving_rounds = 0;
-  std::size_t cancel_check = 0;
+  SplitQueue<VertexId>& queue = st.workers[tid]->queue;
   PendingCredit& credit = st.workers[tid]->credit;
+  // Per-vertex counts live in registers until the loop ends.
+  std::uint64_t processed = 0;
+  std::uint64_t edges_scanned = 0;
+  std::uint64_t enqueued = 0;
 
   while (!st.done.load(std::memory_order_acquire) &&
          !st.starved.load(std::memory_order_acquire) &&
@@ -245,31 +236,51 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
     // vertex; like any worker exception, the throw stops the traversal and
     // reaches the caller (bader_cong_impl).
     SMPST_FAILPOINT("core.bader_cong.expand");
-    // Deadline poll, amortized so the clock read stays off the per-vertex
-    // fast path (a first-iteration check keeps pre-expired tokens exact).
-    if (opts.cancel != nullptr && (cancel_check++ & 63) == 0 &&
-        opts.cancel->expired()) {
+    if (opts.cancel != nullptr && opts.cancel->expired()) {
       st.cancelled.store(true, std::memory_order_release);
       st.gate.notify_work();
       break;
     }
     VertexId v;
     VertexId next_hint = kInvalidVertex;
-    if (st.workers[tid]->queue.pop(v, &next_hint)) {
-      // Warm the *next* frontier vertex's CSR slice while this one expands:
-      // neighbors() touches the offsets line and the first targets line, both
-      // cold for vertices that arrived by steal or long-ago enqueue.
-      // Resident backends only: on a blocked graph neighbors() is real
-      // cache/disk work, not a pointer computation, so the "hint" would cost
-      // more than the miss it hides.
-      if constexpr (storage::is_resident_v<GS>) {
-        if (next_hint != kInvalidVertex) {
-          prefetch_read(st.g.neighbors(next_hint).data());
-        }
-      }
+    if (queue.pop(v, &next_hint)) {
       starving_rounds = 0;
-      expand_vertex(st, tid, label, v, children, credit, ts);
-      continue;
+      // Own work: each expansion publishes its children and pops the next
+      // vertex in one lock acquisition, until the queue runs dry or the
+      // check budget is spent.
+      bool ran_dry = false;
+      for (std::size_t left = kExpansionsPerCheck;;) {
+        // Warm the *next* frontier vertex's CSR slice while this one
+        // expands: neighbors() touches the offsets line and the first targets
+        // line, both cold for vertices that arrived by steal or long-ago
+        // enqueue. Resident backends only: on a blocked graph neighbors() is
+        // real cache/disk work, not a pointer computation, so the "hint"
+        // would cost more than the miss it hides.
+        if constexpr (storage::is_resident_v<GS>) {
+          if (next_hint != kInvalidVertex) {
+            prefetch_read(st.g.neighbors(next_hint).data());
+          }
+        }
+        const std::size_t k = expand_vertex(st, queue, label, v, edges_scanned);
+        ++processed;
+        enqueued += k;
+        // Children counted (+k) and v consumed (-1) *before* the children
+        // are published, out of this worker's credit where it covers k-1, so
+        // the shared counter can never drain while any coloured-but-uncounted
+        // child exists, and a thief can never consume a child not yet
+        // counted. Most expansions leave the shared cacheline alone.
+        credit.consumed_produced(st.pending, static_cast<std::int64_t>(k));
+        const bool check_now = --left == 0;
+        if (check_now) {
+          queue.publish(k);
+        } else {
+          next_hint = kInvalidVertex;
+          ran_dry = !queue.publish_and_pop(k, v, &next_hint);
+        }
+        if (k != 0) st.gate.notify_work();
+        if (check_now || ran_dry) break;
+      }
+      if (!ran_dry) continue;  // back to the checks at the top
     }
 
     // Out of local work: return the credit before reading the counter, so
@@ -314,7 +325,7 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
       const std::size_t took =
           st.workers[victim]->queue.steal(stolen, chunk);
       if (took > 0) {
-        st.workers[tid]->queue.push_bulk(stolen.data(), took);
+        queue.push_bulk(stolen.data(), took);
         SMPST_TRACE_INSTANT("bc.steal");
         ++ts.steals_succeeded;
         ts.items_stolen += took;
@@ -346,6 +357,9 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
       starving_rounds = 0;
     }
   }
+  ts.vertices_processed += processed;
+  ts.edges_scanned += edges_scanned;
+  ts.enqueues += enqueued;
   ts.pending_updates += static_cast<std::uint32_t>(credit.shared_updates());
 }
 
@@ -447,16 +461,15 @@ SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
   forest.parent.assign(n, kInvalidVertex);
   if (n == 0) return forest;
 
-  TraversalState<GS> st(g, p);
+  TraversalState<GS> st(g, p, forest.parent.data());
   Xoshiro256 rng(derive_stream_seed(opts.seed, 0xabc));
 
   TraversalStats local_stats;
   local_stats.per_thread.resize(p);
 
   // Phase 0: NUMA-aware first touch — each worker faults in its own shard of
-  // the colour/parent arrays (and its queue buffer) before any of them is
-  // read, so the pages land on the touching worker's node instead of all on
-  // the caller's.
+  // the colour array before any of it is read, so the pages land on the
+  // touching worker's node instead of all on the caller's.
   st.first_touch_init(pool);
 
   // Same-node-first steal probing when the pool's placement is known.
@@ -509,24 +522,24 @@ SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
     throw CancelledError();
   }
 
-  VertexId colored = 0;
+  // The drained exit claims roots until none is left uncoloured, so every
+  // vertex is coloured and the traversal has written the whole forest.
+  VertexId colored = n;
   if (st.starved.load(std::memory_order_relaxed)) {
     // Detection mechanism fired: merge and finish with SV.
     local_stats.fallback_triggered = true;
     WallTimer fb_timer;
     {
       SMPST_TRACE_SCOPE("bc.sv_fallback");
+      // finish_with_sv reads st.parent, which is this forest's array, before
+      // the assignment replaces it.
       forest = finish_with_sv(st, pool, opts);
     }
     local_stats.fallback_seconds = fb_timer.elapsed_seconds();
     // The forest came from the merge, but the traversal-phase colouring is
     // still what the duplicate accounting below is measured against.
+    colored = 0;
     for (VertexId v = 0; v < n; ++v) {
-      if (st.color[v] != 0) ++colored;
-    }
-  } else {
-    for (VertexId v = 0; v < n; ++v) {
-      forest.parent[v] = st.parent[v];  // after the region join: race-free
       if (st.color[v] != 0) ++colored;
     }
   }

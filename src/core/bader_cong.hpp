@@ -71,8 +71,8 @@ struct BaderCongOptions {
   /// When non-null, filled with per-thread and phase statistics.
   TraversalStats* stats = nullptr;
 
-  /// When non-null, every worker polls the token between dequeues; if it
-  /// expires mid-traversal the call throws CancelledError.
+  /// When non-null, every worker polls the token every 64 expansions and
+  /// when idle; if it expires mid-traversal the call throws CancelledError.
   const CancelToken* cancel = nullptr;
 };
 

@@ -1,9 +1,9 @@
 // Cooperative cancellation for long-running traversals.
 //
 // A CancelToken carries an explicit cancel flag plus an optional wall-clock
-// deadline. Algorithm loops poll expired() at safe points (each dequeue for
-// the asynchronous traversal, each level for level-synchronous BFS, every few
-// thousand expansions for the sequential baselines) and abandon the partial
+// deadline. Algorithm loops poll expired() at safe points (every 64
+// expansions for the asynchronous traversal, each level for level-synchronous
+// BFS, every few thousand for the sequential baselines) and abandon the partial
 // result by throwing CancelledError, which the serving layer maps to a
 // timed-out QueryResult. Polling is cooperative: an algorithm that never
 // polls simply runs to completion and the caller applies the deadline after

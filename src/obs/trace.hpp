@@ -3,7 +3,7 @@
 // discipline as support/failpoint.hpp).
 //
 //   SMPST_TRACE_SCOPE("bc.traversal");    // complete event for this scope
-//   SMPST_TRACE_INSTANT("deque.steal");   // zero-duration marker
+//   SMPST_TRACE_INSTANT("bc.steal");      // zero-duration marker
 //
 // Hot-path contract:
 //   - disabled: one relaxed load per macro hit, no allocation, no TLS ring

@@ -29,8 +29,7 @@ std::size_t IdleGate::sleep_for(std::chrono::microseconds timeout) {
   return observed;
 }
 
-void IdleGate::notify_work() noexcept {
-  if (sleepers_.load(std::memory_order_relaxed) == 0) return;
+void IdleGate::wake_all() noexcept {
   {
     LockGuard<Mutex> lk(mutex_);
     ++wake_epoch_;

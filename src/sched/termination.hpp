@@ -124,14 +124,19 @@ class IdleGate {
   /// which the caller compares against its starvation threshold.
   std::size_t sleep_for(std::chrono::microseconds timeout);
 
-  /// Wakes all sleepers; cheap (one relaxed load) when nobody sleeps.
-  void notify_work() noexcept;
+  /// Wakes all sleepers; one inline relaxed load when nobody sleeps, so a
+  /// caller may notify after every expansion that publishes work.
+  void notify_work() noexcept {
+    if (sleepers_.load(std::memory_order_relaxed) != 0) wake_all();
+  }
 
   [[nodiscard]] std::size_t sleepers() const noexcept {
     return sleepers_.load(std::memory_order_relaxed);
   }
 
  private:
+  void wake_all() noexcept;
+
   std::atomic<std::size_t> sleepers_{0};
   Mutex mutex_{lockdep::rank::kIdleGate};
   CondVar cv_;

@@ -1,4 +1,4 @@
-// Work-stealing queues for the traversal step.
+// Work-stealing queue for the traversal step.
 //
 // SplitQueue is the queue from the paper: each processor owns a FIFO queue of
 // frontier vertices; an idle processor locks a victim's queue and "steals part
@@ -8,20 +8,26 @@
 // nothing else to do, and idle thieves probe a victim through a lock-free
 // size hint, so only an actual steal takes the owner's lock.
 //
-// ChaseLevDeque is a lock-free alternative (owner LIFO bottom, thieves FIFO
-// top, one element per steal) included for the steal-granularity ablation.
+// The queue is a power-of-two ring of monotonically increasing head and tail
+// indices. It starts small and doubles under the lock, so its size follows
+// the live frontier rather than the graph. The owner writes new elements
+// into the slots past the published tail without the lock (tail_slots);
+// thieves never read there. One lock acquisition then publishes them and pops
+// the owner's next element (publish_and_pop), so a Bader–Cong expansion costs
+// one lock round trip. That acquisition is also the full fence per expansion
+// that the traversal's colour check-then-set needs (docs/CONCURRENCY.md).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <limits>
 #include <memory>
 #include <vector>
 
-#include "obs/trace.hpp"
 #include "sched/spinlock.hpp"
 #include "support/assert.hpp"
-#include "support/cacheline.hpp"
 #include "support/failpoint.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -30,25 +36,67 @@ namespace smpst {
 template <typename T>
 class SplitQueue {
  public:
-  SplitQueue() = default;
+  static constexpr std::size_t kInitialCapacity = 1024;
 
-  void reserve(std::size_t n) {
+  /// Writable slots past the published tail; slot i holds the i-th element
+  /// the next publish will add. Valid until the owner's next queue call.
+  class TailSlots {
+   public:
+    T& operator[](std::size_t i) const noexcept {
+      return buf_[(first_ + i) & mask_];
+    }
+
+   private:
+    friend class SplitQueue;
+    TailSlots(T* buf, std::size_t mask, std::size_t first) noexcept
+        : buf_(buf), mask_(mask), first_(first) {}
+    T* buf_;
+    std::size_t mask_;
+    std::size_t first_;
+  };
+
+  SplitQueue() : SplitQueue(kInitialCapacity) {}
+
+  /// `initial_capacity` is rounded up to a power of two. Slots are left
+  /// uninitialized: every slot is written before it is published.
+  explicit SplitQueue(std::size_t initial_capacity)
+      : mask_(std::bit_ceil(std::max<std::size_t>(initial_capacity, 2)) - 1),
+        buf_(new T[mask_ + 1]),
+        room_(mask_ + 1) {}
+
+  /// Owner: room for `count` elements past the published tail. Thieves
+  /// cannot see these slots until publish() or publish_and_pop() moves the
+  /// tail over them. Takes the lock only when the ring must grow. A growth
+  /// keeps only published elements, so a batch takes all its room in one
+  /// call.
+  TailSlots tail_slots(std::size_t count) {
+    if (count > room_) [[unlikely]] grow_for(count);
+    return TailSlots(buf_.get(), mask_, tail_);
+  }
+
+  /// Owner: publishes the first `k` tail slots.
+  void publish(std::size_t k) {
     LockGuard<SpinLock> lk(lock_);
-    buf_.reserve(n);
+    tail_ += k;
+    note_owner_op();
+  }
+
+  /// Owner: publishes the first `k` tail slots, then pops as pop() does,
+  /// under one lock acquisition.
+  bool publish_and_pop(std::size_t k, T& out, T* next_hint = nullptr) {
+    LockGuard<SpinLock> lk(lock_);
+    tail_ += k;
+    return pop_locked(out, next_hint);
   }
 
   /// Owner: append one element at the back.
-  void push(const T& value) {
-    LockGuard<SpinLock> lk(lock_);
-    buf_.push_back(value);
-    publish_size();
-  }
+  void push(const T& value) { push_bulk(&value, 1); }
 
   /// Owner: append many elements at the back.
   void push_bulk(const T* values, std::size_t count) {
-    LockGuard<SpinLock> lk(lock_);
-    buf_.insert(buf_.end(), values, values + count);
-    publish_size();
+    const TailSlots slots = tail_slots(count);
+    for (std::size_t i = 0; i < count; ++i) slots[i] = values[i];
+    publish(count);
   }
 
   /// Owner: remove the front element (BFS order). Returns false when empty.
@@ -61,12 +109,7 @@ class SplitQueue {
     // delay here leaves every queued vertex in place for thieves.
     SMPST_FAILPOINT("sched.work_queue.pop");
     LockGuard<SpinLock> lk(lock_);
-    if (head_ == buf_.size()) return false;
-    out = buf_[head_++];
-    if (next_hint != nullptr && head_ < buf_.size()) *next_hint = buf_[head_];
-    maybe_compact();
-    publish_size();
-    return true;
+    return pop_locked(out, next_hint);
   }
 
   /// Thief: move up to `max_take` elements from the front into `out`.
@@ -75,13 +118,15 @@ class SplitQueue {
   std::size_t steal(std::vector<T>& out, std::size_t max_take) {
     SMPST_FAILPOINT("sched.work_queue.steal");
     LockGuard<SpinLock> lk(lock_);
-    const std::size_t avail = buf_.size() - head_;
-    const std::size_t take = std::min(avail, max_take);
-    out.insert(out.end(), buf_.begin() + static_cast<std::ptrdiff_t>(head_),
-               buf_.begin() + static_cast<std::ptrdiff_t>(head_ + take));
+    const std::size_t take = std::min(tail_ - head_, max_take);
+    // The taken run wraps at most once: copy it as two contiguous pieces.
+    const std::size_t first = head_ & mask_;
+    const std::size_t piece = std::min(take, mask_ + 1 - first);
+    const T* buf = buf_.get();
+    out.insert(out.end(), buf + first, buf + first + piece);
+    out.insert(out.end(), buf, buf + (take - piece));
     head_ += take;
-    maybe_compact();
-    publish_size();
+    size_hint_.store(tail_ - head_, std::memory_order_relaxed);
     return take;
   }
 
@@ -93,179 +138,75 @@ class SplitQueue {
     return size_hint_.load(std::memory_order_relaxed);
   }
 
+  /// Owner: the number of slots the ring holds.
+  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
+
+  /// Owner: drop every published element.
   void clear() {
     LockGuard<SpinLock> lk(lock_);
-    buf_.clear();
-    head_ = 0;
-    publish_size();
+    head_ = tail_;
+    note_owner_op();
   }
 
  private:
-  void maybe_compact() SMPST_REQUIRES(lock_) {
-    // Reclaim the dead prefix once it dominates the buffer.
-    if (head_ > 64 && head_ * 2 > buf_.size()) {
-      buf_.erase(buf_.begin(),
-                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-      head_ = 0;
+  bool pop_locked(T& out, T* next_hint) SMPST_REQUIRES(lock_) {
+    const bool got = head_ != tail_;
+    if (got) {
+      out = buf_[head_++ & mask_];
+      if (next_hint != nullptr && head_ != tail_) {
+        *next_hint = buf_[head_ & mask_];
+      }
     }
+    note_owner_op();
+    return got;
   }
 
-  void publish_size() SMPST_REQUIRES(lock_) {
-    size_hint_.store(buf_.size() - head_, std::memory_order_relaxed);
+  /// Publishes the size and refreshes the owner's room after any operation
+  /// the owner makes under the lock.
+  void note_owner_op() SMPST_REQUIRES(lock_) {
+    const std::size_t size = tail_ - head_;
+    size_hint_.store(size, std::memory_order_relaxed);
+    room_ = mask_ + 1 - size;
   }
 
-  // Written only under lock_ (publish_size), read by anyone; it shares
-  // the lock's cache line, which the owner holds while writing it.
+  /// Doubles the ring until `count` slots fit past the tail, moving each
+  /// published element to the slot its index maps to in the new ring. Out
+  /// of line: it runs a few times per traversal, and inlined it would bloat
+  /// every owner path that may grow.
+  [[gnu::noinline]] void grow_for(std::size_t count) {
+    LockGuard<SpinLock> lk(lock_);
+    const std::size_t size = tail_ - head_;
+    const std::size_t old_cap = mask_ + 1;
+    std::size_t cap = old_cap;
+    while (cap - size < count) {
+      SMPST_CHECK(cap <= std::numeric_limits<std::size_t>::max() / 2,
+                  "SplitQueue capacity overflow: cannot double further");
+      cap *= 2;
+    }
+    if (cap != old_cap) {
+      std::unique_ptr<T[]> bigger(new T[cap]);
+      for (std::size_t i = head_; i != tail_; ++i) {
+        bigger[i & (cap - 1)] = buf_[i & mask_];
+      }
+      buf_ = std::move(bigger);
+      mask_ = cap - 1;
+    }
+    note_owner_op();
+  }
+
+  // Written only under lock_, read by anyone; it shares the lock's cache
+  // line, which the owner holds while writing it.
   std::atomic<std::size_t> size_hint_{0};
   SpinLock lock_{lockdep::rank::kWorkQueue};
-  std::vector<T> buf_ SMPST_GUARDED_BY(lock_);
+  // mask_, buf_ and tail_ change only by the owner, under lock_. So the
+  // owner may read them without the lock, and thieves read them under it.
+  std::size_t mask_;
+  std::unique_ptr<T[]> buf_;
+  std::size_t tail_ = 0;
   std::size_t head_ SMPST_GUARDED_BY(lock_) = 0;
-};
-
-/// Lock-free work-stealing deque (Chase & Lev; fences after Le et al. 2013).
-/// The owner pushes/pops at the bottom; thieves steal single elements from
-/// the top. T must be trivially copyable.
-template <typename T>
-class ChaseLevDeque {
-  static_assert(std::is_trivially_copyable_v<T>);
-
- public:
-  explicit ChaseLevDeque(std::size_t initial_capacity = 1024)
-      : buffer_(new Buffer(round_up(initial_capacity))) {}
-
-  ~ChaseLevDeque() {
-    delete buffer_.load(std::memory_order_relaxed);
-    for (Buffer* b : retired_) delete b;
-  }
-
-  ChaseLevDeque(const ChaseLevDeque&) = delete;
-  ChaseLevDeque& operator=(const ChaseLevDeque&) = delete;
-
-  /// Owner only.
-  void push(T value) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    if (b - t > static_cast<std::int64_t>(buf->capacity) - 1) {
-      buf = grow(buf, t, b);
-    }
-    buf->put(b, value);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-
-  /// Owner only. Returns false when empty.
-  bool pop(T& out) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_relaxed);
-    // seq_cst fence: the bottom store must be globally ordered before the
-    // top load (Le et al. 2013, Fig. 8) — acquire/release admits a double
-    // pop where owner and thief both take the last element.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
-    if (t > b) {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      return false;
-    }
-    out = buf->get(b);
-    if (t == b) {
-      // Last element: race against thieves via CAS on top.
-      if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        bottom_.store(b + 1, std::memory_order_relaxed);
-        return false;
-      }
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return true;
-  }
-
-  /// Any thread. Returns false when empty or lost a race.
-  bool steal(T& out) {
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    // seq_cst fence: pairs with the owner's fence in pop() so thief and
-    // owner agree on the order of the top/bottom accesses (Le et al. 2013).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) return false;
-    // acquire (not consume: deprecated, and compilers promote it anyway) so
-    // the grow()'s release store makes the new buffer's cells visible.
-    Buffer* buf = buffer_.load(std::memory_order_acquire);
-    out = buf->get(t);
-    if (top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                     std::memory_order_relaxed)) {
-      // After the CAS: the element is owned, so the marker only fires for
-      // real steals and sits off the contended retry path.
-      SMPST_TRACE_INSTANT("deque.steal");
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::size_t size_estimate() const {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
-  [[nodiscard]] bool empty() const { return size_estimate() == 0; }
-
-  /// Smallest power of two >= n (minimum 8), saturating at the largest
-  /// power of two representable in size_t. Public and static so the
-  /// saturation is unit-testable: the pre-fix version looped forever once
-  /// `c <<= 1` wrapped to zero for n above 2^63.
-  static constexpr std::size_t round_up(std::size_t n) noexcept {
-    constexpr std::size_t kMaxPow2 =
-        std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
-    if (n > kMaxPow2) return kMaxPow2;
-    std::size_t c = 8;
-    while (c < n) c <<= 1;
-    return c;
-  }
-
- private:
-  struct Buffer {
-    explicit Buffer(std::size_t cap)
-        : capacity(cap), data(new std::atomic<T>[cap]) {}
-    ~Buffer() { delete[] data; }
-
-    // Cells are atomic with relaxed ordering (Le et al. 2013): a thief may
-    // read a cell the owner is concurrently overwriting; the CAS on top_
-    // rejects the stale value, but the access itself must not be a race.
-    [[nodiscard]] T get(std::int64_t i) const {
-      return data[static_cast<std::size_t>(i) & (capacity - 1)].load(
-          std::memory_order_relaxed);
-    }
-    void put(std::int64_t i, T v) {
-      data[static_cast<std::size_t>(i) & (capacity - 1)].store(
-          v, std::memory_order_relaxed);
-    }
-
-    const std::size_t capacity;  // power of two
-    std::atomic<T>* data;
-  };
-
-  Buffer* grow(Buffer* old, std::int64_t t, std::int64_t b) {
-    // Doubling past the largest representable power of two would wrap the
-    // capacity to zero and corrupt the index mask; a deque that large is a
-    // caller bug (the element count alone would exceed the address space).
-    SMPST_CHECK(
-        old->capacity <= std::numeric_limits<std::size_t>::max() / 2,
-        "ChaseLevDeque capacity overflow: cannot double further");
-    auto* bigger = new Buffer(old->capacity * 2);
-    for (std::int64_t i = t; i < b; ++i) bigger->put(i, old->get(i));
-    buffer_.store(bigger, std::memory_order_release);
-    // Thieves may still be reading the old buffer; retire it until the deque
-    // itself dies instead of freeing immediately.
-    retired_.push_back(old);
-    return bigger;
-  }
-
-  alignas(kCacheLineSize) std::atomic<std::int64_t> top_{0};
-  alignas(kCacheLineSize) std::atomic<std::int64_t> bottom_{0};
-  alignas(kCacheLineSize) std::atomic<Buffer*> buffer_;
-  std::vector<Buffer*> retired_;  // owner-only
+  // Owner only: free slots as of the owner's last locked operation. Steals
+  // only add room, so it never over-states what tail_slots may write.
+  std::size_t room_;
 };
 
 }  // namespace smpst

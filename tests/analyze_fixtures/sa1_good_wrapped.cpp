@@ -1,6 +1,7 @@
 // SA1 fixture (good twin): every concurrent access to the racy storage goes
 // through the sanctioned wrappers; sequential phases (constructor, pre-pool
 // setup) use plain accesses, and prefetch takes addresses without reading.
+// `if constexpr` blocks are parsed as statements, not as calls or functions.
 // Expected: clean.
 #include <cstdint>
 #include <memory>
@@ -24,8 +25,18 @@ struct TraversalState {
   std::unique_ptr<std::uint32_t[]> parent;
 };
 
+// Single-threaded, never reached from the pool. Its `if constexpr (` is not
+// a function named `constexpr`, so the one in expand_good does not call it.
+void reset_serial(TraversalState& st) {
+  if constexpr (sizeof(std::uint32_t) == 4) {
+    for (std::uint32_t v = 0; v < st.n; ++v) st.color[v] = 0;
+  }
+}
+
 void expand_good(TraversalState& st, std::uint32_t v, std::uint32_t label) {
-  prefetch_read(&st.color[v + 4]);  // address-of for prefetch: no access
+  if constexpr (sizeof(std::uint32_t) == 4) {
+    prefetch_read(&st.color[v + 4]);  // address-of for prefetch: no access
+  }
   if (SMPST_BENIGN_RACE_LOAD(st.color[v]) == 0) {
     SMPST_BENIGN_RACE_STORE(st.color[v], label);
     SMPST_BENIGN_RACE_STORE(st.parent[v], v);

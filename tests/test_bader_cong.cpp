@@ -114,12 +114,13 @@ TEST(BaderCong, RepeatedRunsOnSmallGraphStayValid) {
   }
 }
 
-// The colour and parent stores of an expansion reach the worker that expands
-// the children only through the queue lock taken by push_bulk and pop/steal;
-// the pending counter no longer orders them. A queue path without that
-// fence produced parent cycles on these small graphs at p=8 about once in
-// 40 sweeps, so hammer them over many seeds and validate every forest. 2d60
-// at this size has several components, so the drain and root claim run too.
+// The colour stores of one expansion are ordered before the colour loads of
+// the next only by the queue lock each expansion takes in publish_and_pop
+// (or pop/steal); the pending counter no longer orders them. A queue path
+// without that fence produced parent cycles on these small graphs at p=8
+// about once in 40 sweeps, so hammer them over many seeds and validate every
+// forest. 2d60 at this size has several components, so the drain and root
+// claim run too.
 TEST(BaderCong, ForestsStayAcyclicAtEightThreads) {
   ThreadPool pool(8);
   for (const char* family : {"torus-rowmajor", "2d60"}) {

@@ -12,6 +12,7 @@
 
 #include "bench_util/cli.hpp"
 #include "bench_util/perf_suite.hpp"
+#include "cc/connected_components.hpp"
 #include "gen/registry.hpp"
 #include "model/cost_model.hpp"
 #include "storage/csr_file.hpp"
@@ -422,6 +423,71 @@ TEST(PerfSuite, StorageSweepReportsHitRatePerBudget) {
   EXPECT_NE(doc.find("\"storage\": ["), std::string::npos);
   EXPECT_NE(doc.find("\"hit_rate\""), std::string::npos);
   EXPECT_NE(doc.find("\"pins_per_vertex\""), std::string::npos);
+}
+
+// A payload that is a whole number of blocks leaves the 64-byte header one
+// block of its own. The budget is a share of the file's blocks, so at 100%
+// every block has a frame and the timed repeats neither miss nor evict.
+TEST(PerfSuite, FullBudgetNeverEvictsWhenPayloadFillsWholeBlocks) {
+  PerfSuiteConfig cfg;
+  cfg.families = {"chain-seq"};
+  cfg.n = 2048;  // payload 8(n+1) + 4·2(n-1) = 16n bytes: 32 blocks of 1 KiB
+  cfg.threads = {1};
+  cfg.repeats = 2;
+  cfg.seed = 5;
+  cfg.run_sv = false;
+  cfg.run_parallel_bfs = false;
+  cfg.run_dir = false;
+  cfg.storage_sweep = true;
+  cfg.storage_budget_percents = {100};
+  cfg.storage_block_bytes = 1 << 10;
+  std::ostringstream progress;
+  const auto result = run_perf_suite(cfg, progress);
+
+  ASSERT_EQ(result.families.size(), 1u);
+  const auto& fam = result.families[0];
+  ASSERT_EQ(fam.csr_bytes % cfg.storage_block_bytes, 0u);
+  ASSERT_EQ(fam.storage.size(), 1u);
+  const auto& full = fam.storage[0];
+  EXPECT_EQ(full.budget_bytes, fam.csr_bytes + cfg.storage_block_bytes);
+  EXPECT_GT(full.hits, 0u);
+  EXPECT_EQ(full.evictions, 0u);
+  EXPECT_EQ(full.misses, 0u);
+}
+
+// Every bader_cong cell emits the roots its workers claimed after the
+// stub's component: one per other component on a run without fallback.
+TEST(PerfSuite, BaderCongCellsEmitRootsClaimed) {
+  PerfSuiteConfig cfg;
+  cfg.families = {"2d60"};
+  cfg.n = 4096;
+  cfg.threads = {1};
+  cfg.repeats = 1;
+  cfg.seed = 3;
+  cfg.run_sv = false;
+  cfg.run_parallel_bfs = false;
+  cfg.run_dir = false;
+  std::ostringstream progress;
+  const auto result = run_perf_suite(cfg, progress);
+  ASSERT_EQ(result.families.size(), 1u);
+  const auto& fam = result.families[0];
+  const auto components =
+      cc::cc_union_find(gen::make_family("2d60", cfg.n, cfg.seed)).count;
+  ASSERT_GT(components, 1u);
+  bool saw_bc = false;
+  for (const auto& run : fam.runs) {
+    if (run.algo != "bader_cong") continue;
+    saw_bc = true;
+    ASSERT_FALSE(run.fallback_triggered);  // p=1 never falls back
+    EXPECT_EQ(run.roots_claimed, components - 1);
+  }
+  EXPECT_TRUE(saw_bc);
+
+  std::ostringstream json;
+  write_perf_suite_json(result, json);
+  EXPECT_NE(json.str().find("\"roots_claimed\": " +
+                            std::to_string(components - 1)),
+            std::string::npos);
 }
 
 // The direction-optimizing column must carry its observability fields: the

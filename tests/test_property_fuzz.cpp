@@ -62,11 +62,13 @@ TEST(Fuzz, CsrMatchesReferenceAdjacencyMap) {
 TEST(Fuzz, SplitQueueMatchesDequeModel) {
   Xoshiro256 rng(0xbeef);
   for (int round = 0; round < 30; ++round) {
-    SplitQueue<int> q;
+    // Small rings too, so wrap-around and growth happen often.
+    SplitQueue<int> q(std::size_t{2} << rng.next_bounded(8));
     std::deque<int> model;
     int next = 0;
     for (int op = 0; op < 2000; ++op) {
-      switch (rng.next_bounded(4)) {
+      const auto choice = rng.next_bounded(6);
+      switch (choice) {
         case 0:  // push
           q.push(next);
           model.push_back(next);
@@ -93,9 +95,35 @@ TEST(Fuzz, SplitQueueMatchesDequeModel) {
           }
           break;
         }
+        case 3:    // write k tail slots and publish them, or
+        case 4: {  // publish them and pop, as an expansion does
+          const auto k = static_cast<std::size_t>(rng.next_bounded(12));
+          const auto slots = q.tail_slots(k);
+          for (std::size_t i = 0; i < k; ++i) {
+            slots[i] = next;
+            model.push_back(next);
+            ++next;
+          }
+          ASSERT_EQ(q.size_hint(), model.size() - k);  // not yet visible
+          if (choice == 3) {
+            q.publish(k);
+            break;
+          }
+          int got = -1;
+          int hint = -1;
+          const bool ok = q.publish_and_pop(k, got, &hint);
+          ASSERT_EQ(ok, !model.empty());
+          if (ok) {
+            ASSERT_EQ(got, model.front());
+            model.pop_front();
+            ASSERT_EQ(hint, model.empty() ? -1 : model.front());
+          }
+          break;
+        }
         default:
           // Exact here: no other thread touches the queue.
           ASSERT_EQ(q.size_hint(), model.size());
+          ASSERT_GE(q.capacity(), model.size());
       }
     }
   }

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
-#include <new>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -183,16 +181,106 @@ TEST(SplitQueue, StealMoreThanAvailable) {
 }
 
 TEST(SplitQueue, CompactionKeepsContents) {
+  // The dead prefix the vector-backed queue used to compact away is now
+  // ring space the tail wraps into: 900 pops free the front, 300 pushes
+  // wrap past the end of the 1024-slot ring, a steal takes a run across the
+  // wrap, and 1000 more pushes force a growth while the live run straddles
+  // the wrap.
   SplitQueue<int> q;
+  ASSERT_EQ(q.capacity(), 1024u);
   for (int i = 0; i < 1000; ++i) q.push(i);
   int v = -1;
   for (int i = 0; i < 900; ++i) ASSERT_TRUE(q.pop(v));
-  for (int i = 1000; i < 1100; ++i) q.push(i);
-  // Remaining: 900..1099 in order.
-  for (int i = 900; i < 1100; ++i) {
+  for (int i = 1000; i < 1300; ++i) q.push(i);
+  EXPECT_EQ(q.capacity(), 1024u);  // wrapped, not grown
+  std::vector<int> loot;
+  ASSERT_EQ(q.steal(loot, 200), 200u);  // slots 900..1023, then 0..75
+  for (int i = 0; i < 200; ++i) ASSERT_EQ(loot[i], 900 + i);
+  for (int i = 1300; i < 2300; ++i) q.push(i);
+  EXPECT_EQ(q.capacity(), 2048u);
+  EXPECT_EQ(q.size_hint(), 1200u);
+  for (int i = 1100; i < 2300; ++i) {
     ASSERT_TRUE(q.pop(v));
     EXPECT_EQ(v, i);
   }
+  EXPECT_FALSE(q.pop(v));
+}
+
+TEST(SplitQueue, FifoOrderSurvivesManyWrapsAndGrowths) {
+  // A 4-slot ring; the live count climbs by one per round, so the ring
+  // doubles several times and the indices wrap hundreds of times.
+  SplitQueue<int> q(4);
+  ASSERT_EQ(q.capacity(), 4u);
+  int next_in = 0;
+  int next_out = 0;
+  int v = -1;
+  for (int round = 0; round < 2000; ++round) {
+    const int pushes = 3 + round % 5;
+    for (int i = 0; i < pushes; ++i) q.push(next_in++);
+    for (int i = 0; i < pushes - 1 + (round % 3 == 0 ? 0 : 1); ++i) {
+      ASSERT_TRUE(q.pop(v));
+      ASSERT_EQ(v, next_out++);
+    }
+    ASSERT_EQ(q.size_hint(), static_cast<std::size_t>(next_in - next_out));
+  }
+  EXPECT_GT(q.capacity(), 512u);
+  while (q.pop(v)) ASSERT_EQ(v, next_out++);
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(SplitQueue, TailSlotsStayInvisibleUntilPublished) {
+  SplitQueue<int> q(8);
+  q.push(1);
+  const auto slots = q.tail_slots(3);
+  slots[0] = 2;
+  slots[1] = 3;
+  slots[2] = 4;
+  // Written but unpublished: a thief sees only the published element.
+  EXPECT_EQ(q.size_hint(), 1u);
+  std::vector<int> loot;
+  EXPECT_EQ(q.steal(loot, 8), 1u);
+  EXPECT_EQ(loot, (std::vector<int>{1}));
+  int v = -1;
+  int hint = -1;
+  ASSERT_TRUE(q.publish_and_pop(2, v, &hint));  // publishes 2 and 3
+  EXPECT_EQ(v, 2);
+  EXPECT_EQ(hint, 3);
+  EXPECT_EQ(q.size_hint(), 1u);
+  ASSERT_TRUE(q.publish_and_pop(0, v));
+  EXPECT_EQ(v, 3);
+  EXPECT_FALSE(q.pop(v));
+}
+
+TEST(SplitQueue, TailSlotsGrowTheRingAroundWrappedElements) {
+  SplitQueue<int> q(4);
+  for (int i = 0; i < 3; ++i) q.push(i);
+  int v = -1;
+  ASSERT_TRUE(q.pop(v));
+  q.push(3);  // the live run 1, 2, 3 now wraps past the ring's end
+  const auto slots = q.tail_slots(40);  // 43 live: the ring must grow
+  EXPECT_GE(q.capacity(), 43u);
+  EXPECT_EQ(q.size_hint(), 3u);
+  for (int i = 0; i < 40; ++i) slots[i] = 4 + i;
+  q.publish(40);
+  for (int i = 1; i < 44; ++i) {
+    ASSERT_TRUE(q.pop(v));
+    EXPECT_EQ(v, i);
+  }
+  EXPECT_FALSE(q.pop(v));
+}
+
+TEST(SplitQueue, PublishAndPopNothingOnEmptyQueue) {
+  SplitQueue<int> q;
+  int v = -1;
+  int hint = -1;
+  EXPECT_FALSE(q.publish_and_pop(0, v, &hint));
+  EXPECT_EQ(v, -1);
+  EXPECT_EQ(hint, -1);
+  EXPECT_EQ(q.size_hint(), 0u);
+  q.push(5);
+  ASSERT_TRUE(q.pop(v));
+  EXPECT_FALSE(q.publish_and_pop(0, v, &hint));
+  EXPECT_EQ(q.size_hint(), 0u);
 }
 
 TEST(SplitQueue, ConcurrentOwnerAndThieves) {
@@ -241,78 +329,6 @@ TEST(SplitQueue, ConcurrentOwnerAndThieves) {
 
   EXPECT_EQ(consumed_count.load(), kItems);
   EXPECT_EQ(consumed_sum.load(), static_cast<long>(kItems) * (kItems - 1) / 2);
-}
-
-TEST(ChaseLevDeque, OwnerLifoSingleThread) {
-  ChaseLevDeque<int> d;
-  d.push(1);
-  d.push(2);
-  int v = 0;
-  EXPECT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_FALSE(d.pop(v));
-}
-
-TEST(ChaseLevDeque, GrowsPastInitialCapacity) {
-  ChaseLevDeque<int> d(8);
-  for (int i = 0; i < 1000; ++i) d.push(i);
-  EXPECT_EQ(d.size_estimate(), 1000u);
-  int v = 0;
-  for (int i = 999; i >= 0; --i) {
-    ASSERT_TRUE(d.pop(v));
-    EXPECT_EQ(v, i);
-  }
-}
-
-TEST(ChaseLevDeque, StealFromOtherEnd) {
-  ChaseLevDeque<int> d;
-  d.push(1);
-  d.push(2);
-  int v = 0;
-  EXPECT_TRUE(d.steal(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(d.pop(v));
-  EXPECT_EQ(v, 2);
-}
-
-TEST(ChaseLevDeque, ConcurrentStealersSeeEveryItemOnce) {
-  ChaseLevDeque<int> d;
-  constexpr int kItems = 200000;
-  std::atomic<long> sum{0};
-  std::atomic<int> count{0};
-  std::atomic<bool> done_producing{false};
-
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < 3; ++t) {
-    thieves.emplace_back([&] {
-      int v;
-      while (!done_producing.load() || d.size_estimate() > 0) {
-        if (d.steal(v)) {
-          sum.fetch_add(v);
-          count.fetch_add(1);
-        }
-      }
-    });
-  }
-  int popped;
-  for (int i = 0; i < kItems; ++i) {
-    d.push(i);
-    if (i % 2 == 0 && d.pop(popped)) {
-      sum.fetch_add(popped);
-      count.fetch_add(1);
-    }
-  }
-  while (d.pop(popped)) {
-    sum.fetch_add(popped);
-    count.fetch_add(1);
-  }
-  done_producing.store(true);
-  for (auto& t : thieves) t.join();
-
-  EXPECT_EQ(count.load(), kItems);
-  EXPECT_EQ(sum.load(), static_cast<long>(kItems) * (kItems - 1) / 2);
 }
 
 TEST(PendingCounter, TracksProduceConsume) {
@@ -559,6 +575,46 @@ TEST(SplitQueue, PopExposesNextFrontAsHint) {
   EXPECT_FALSE(q.pop(v, &hint));
 }
 
+TEST(SplitQueue, PublishAndPopRacesHalfStealersSafely) {
+  // The Bader–Cong owner loop against three idle workers: the owner writes
+  // 0-3 new items past the tail per step, then publishes them and pops its
+  // next one in one call; thieves probe the size hint and steal half. Every
+  // item is taken exactly once. Run under TSan.
+  SplitQueue<int> q(16);
+  constexpr int kItems = 100000;
+  std::vector<std::atomic<int>> seen(kItems);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> thieves;
+  for (int t = 0; t < 3; ++t) {
+    thieves.emplace_back([&] {
+      std::vector<int> loot;
+      while (!stop.load()) {
+        const std::size_t avail = q.size_hint();
+        if (avail == 0) continue;
+        loot.clear();
+        q.steal(loot, std::max<std::size_t>(1, avail / 2));
+        for (const int v : loot) seen[v].fetch_add(1);
+      }
+    });
+  }
+  Xoshiro256 rng(17);
+  int made = 0;
+  int v = -1;
+  bool have = false;
+  while (made < kItems || have) {
+    const int k = std::min(kItems - made,
+                           static_cast<int>(rng.next_bounded(4)));
+    const auto slots = q.tail_slots(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i) slots[i] = made++;
+    if (have) seen[v].fetch_add(1);
+    have = q.publish_and_pop(static_cast<std::size_t>(k), v);
+  }
+  stop.store(true);
+  for (auto& t : thieves) t.join();
+  EXPECT_EQ(q.size_hint(), 0u);
+  for (int i = 0; i < kItems; ++i) ASSERT_EQ(seen[i].load(), 1) << i;
+}
+
 TEST(SplitQueue, StealAfterStaleSizeHintTakesNothing) {
   SplitQueue<int> q;
   q.push(7);
@@ -607,32 +663,6 @@ TEST(SplitQueue, SizeHintProbesRaceOwnerSafely) {
   for (auto& t : thieves) t.join();
   EXPECT_EQ(popped + stolen.load(), kItems);
   EXPECT_EQ(q.size_hint(), 0u);
-}
-
-TEST(ChaseLevDeque, RoundUpSaturatesInsteadOfLoopingForever) {
-  constexpr std::size_t kMaxPow2 =
-      std::size_t{1} << (std::numeric_limits<std::size_t>::digits - 1);
-  // Pre-fix, any request above the largest power of two shifted the probe
-  // to zero and spun forever; now it saturates.
-  EXPECT_EQ(ChaseLevDeque<int>::round_up(kMaxPow2 + 1), kMaxPow2);
-  EXPECT_EQ(ChaseLevDeque<int>::round_up(
-                std::numeric_limits<std::size_t>::max()),
-            kMaxPow2);
-  EXPECT_EQ(ChaseLevDeque<int>::round_up(kMaxPow2), kMaxPow2);
-  // Normal cases are unchanged.
-  EXPECT_EQ(ChaseLevDeque<int>::round_up(0), 8u);
-  EXPECT_EQ(ChaseLevDeque<int>::round_up(8), 8u);
-  EXPECT_EQ(ChaseLevDeque<int>::round_up(9), 16u);
-  EXPECT_EQ(ChaseLevDeque<int>::round_up(1024), 1024u);
-}
-
-TEST(ChaseLevDeque, HostileCapacityThrowsInsteadOfHanging) {
-  // round_up saturates to 2^63; allocating that many atomic<int> overflows
-  // the array-new size computation, which must surface as bad_alloc (the
-  // compiler throws bad_array_new_length, a bad_alloc subclass) — never as
-  // a hang or a silently wrapped, undersized buffer.
-  EXPECT_THROW(ChaseLevDeque<int> d(std::numeric_limits<std::size_t>::max()),
-               std::bad_alloc);
 }
 
 }  // namespace

@@ -219,10 +219,12 @@ class SourceFile:
 
 # -------------------------------------------------------------- the parser --
 
+# `constexpr` for `if constexpr (...)`, which is neither a call nor a
+# function definition.
 _CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return",
                      "do", "else", "sizeof", "alignof", "decltype",
                      "static_assert", "new", "delete", "throw",
-                     "alignas", "noexcept", "assert"}
+                     "alignas", "noexcept", "assert", "constexpr"}
 
 _NS_RE = re.compile(r"\bnamespace\s*([\w:]*)\s*$")
 # The name may be qualified (`class Outer::Inner {`, an out-of-line nested
