@@ -1,8 +1,9 @@
 // Google-benchmark micro-benchmarks of the runtime substrate: PRNG
-// throughput, spinlock round trips, SplitQueue operations (one expansion's
-// queue traffic in one lock round trip or two), the pending counter (shared
-// RMW vs per-worker credit), barrier episodes, region launches, and CSR
-// traversal — the constants behind the Helman-JáJá machine parameters.
+// throughput, spinlock round trips, SplitQueue operations (an expansion's
+// queue traffic in two lock round trips, one, or one per batch of eight),
+// the pending counter (shared RMW vs per-worker credit), barrier episodes,
+// region launches, and CSR traversal — the constants behind the
+// Helman-JáJá machine parameters.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -62,8 +63,10 @@ BENCHMARK(BM_SplitQueuePushPop);
 // vertices: one vertex out, one child in (a BFS tree's mean). TwoRoundTrips
 // is the owner path before the ring: pop, then push_bulk the child staged in
 // a vector. OneRoundTrip writes the child past the tail and publishes it
-// with the next pop. The gap is the cost of the second lock round trip and
-// the staging copy, per vertex.
+// with the next single-vertex take. Batched is the traversal's path: it
+// takes 8 vertices per lock acquisition and writes their children back to
+// back past the tail, so the lock is paid once per 8 expansions. Each
+// iteration is one expansion, so the gaps are the lock cost per vertex.
 void BM_ExpansionQueueTwoRoundTrips(benchmark::State& state) {
   SplitQueue<VertexId> q;
   for (VertexId i = 0; i < 256; ++i) q.push(i);
@@ -85,11 +88,27 @@ void BM_ExpansionQueueOneRoundTrip(benchmark::State& state) {
   VertexId v = 0;
   benchmark::DoNotOptimize(q.pop(v));
   for (auto _ : state) {
-    q.tail_slots(1)[0] = v;
-    benchmark::DoNotOptimize(q.publish_and_pop(1, v));
+    q.tail_slots(0, 1)[0] = v;
+    benchmark::DoNotOptimize(q.publish_and_pop_batch(1, &v, 1));
   }
 }
 BENCHMARK(BM_ExpansionQueueOneRoundTrip);
+
+void BM_ExpansionQueueBatched(benchmark::State& state) {
+  SplitQueue<VertexId> q;
+  for (VertexId i = 0; i < 256; ++i) q.push(i);
+  VertexId batch[8];
+  std::size_t taken = q.publish_and_pop_batch(0, batch, 8);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    q.tail_slots(i, 1)[0] = batch[i];
+    if (++i == taken) {
+      taken = q.publish_and_pop_batch(taken, batch, 8);
+      i = 0;
+    }
+  }
+}
+BENCHMARK(BM_ExpansionQueueBatched);
 
 void BM_SplitQueueStealHalf(benchmark::State& state) {
   SplitQueue<VertexId> q;

@@ -1,7 +1,7 @@
 #include "core/bader_cong.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include "core/shiloach_vishkin.hpp"
 #include "core/steal_policy.hpp"
@@ -33,12 +33,13 @@ struct WorkerSlot {
   PendingCredit credit;
 };
 
-/// Shared state of one traversal. Colour 0 means unvisited; thread t writes
-/// colour t+1. Parent writes race benignly exactly as in the paper: the last
-/// writer wins and either value forms a valid tree edge.
+/// Shared state of one traversal. parent[v] == kInvalidVertex means v is
+/// unvisited; a root is its own parent. Parent writes race benignly exactly
+/// as in the paper: the last writer wins and either value forms a valid tree
+/// edge.
 ///
-/// colour and parent are deliberately PLAIN arrays, accessed through the
-/// SMPST_BENIGN_RACE_* layer (support/race.hpp): the races on them are the
+/// parent is deliberately a PLAIN array, accessed through the
+/// SMPST_BENIGN_RACE_* layer (support/race.hpp): the races on it are the
 /// paper's intended ones, so non-TSan builds pay nothing for them, while TSan
 /// builds see relaxed atomics and stay quiet without suppressions. The one
 /// decision whose atomicity is load-bearing — the exactly-one-winner claim of
@@ -48,56 +49,18 @@ struct WorkerSlot {
 template <storage::GraphStorage GS>
 struct TraversalState {
   /// The traversal writes parent pointers straight into `forest_parent`, the
-  /// result forest's array of n entries.
+  /// result forest's array of n entries, which the caller has filled with
+  /// kInvalidVertex.
   TraversalState(const GS& graph, std::size_t p, VertexId* forest_parent)
-      // Deliberately *uninitialized* allocation (no make_unique, which
-      // value-initializes): zero-filling n words here would first-touch every
-      // colour page on the calling thread's NUMA node. The pages are faulted
-      // in by first_touch_init() instead, each from the worker that owns the
-      // shard, so on a pinned multi-node pool each node serves its own
-      // shard's traffic.
       : g(graph),
         n(graph.num_vertices()),
-        color(new std::uint32_t[n]),
         parent(forest_parent),
         workers(p) {}
-
-  /// Vertex-ownership shards: contiguous blocks, worker t owns
-  /// [shard_lo(t), shard_hi(t)). Contiguous (not strided) so a shard's pages
-  /// are touched by exactly one worker — and, via the node-grouped slot
-  /// order of CpuTopology, so neighbouring workers share a socket.
-  [[nodiscard]] VertexId shard_lo(std::size_t tid) const noexcept {
-    return static_cast<VertexId>(static_cast<std::uint64_t>(n) * tid /
-                                 workers.size());
-  }
-  [[nodiscard]] VertexId shard_hi(std::size_t tid) const noexcept {
-    return static_cast<VertexId>(static_cast<std::uint64_t>(n) * (tid + 1) /
-                                 workers.size());
-  }
-
-  /// NUMA-aware first touch: every worker initializes (and thereby places)
-  /// its own shard of the colour array. One parallel region, run before
-  /// phase 1; the region join publishes the writes to the traversal region
-  /// that follows. The benign-race wrapper costs nothing in normal builds
-  /// and keeps the shard writes visible to the same annotation audit as the
-  /// traversal's accesses. The parent array is the forest's, which the
-  /// caller has filled already.
-  void first_touch_init(ThreadPool& pool) {
-    pool.run([&](std::size_t tid) {
-      SMPST_TRACE_SCOPE("bc.first_touch");
-      const VertexId lo = shard_lo(tid);
-      const VertexId hi = shard_hi(tid);
-      for (VertexId v = lo; v < hi; ++v) {
-        SMPST_BENIGN_RACE_STORE(color[v], 0u);
-      }
-    });
-  }
 
   // Read by every expansion; the shared-write state below starts on its own
   // cache lines so its traffic never evicts these.
   const GS& g;
   const VertexId n;
-  std::unique_ptr<std::uint32_t[]> color;
   VertexId* const parent;
   std::vector<Padded<WorkerSlot>> workers;
 
@@ -127,27 +90,29 @@ bool work_outstanding(const TraversalState<GS>& st) {
 
 enum class RootClaim { kClaimed, kBusy, kExhausted };
 
-/// Claims the next uncoloured vertex as a fresh component root, enqueued on
+/// Claims the next unvisited vertex as a fresh component root, enqueued on
 /// the caller's queue. kBusy: work is pending again or another worker holds
-/// the drain. kExhausted: every vertex is coloured.
+/// the drain. kExhausted: every vertex is visited.
 ///
 /// Exactly one root may be claimed per drain: claiming a second root while
 /// the first's component is still being traversed could seed two trees inside
-/// one component (the second root might be an as-yet-uncoloured vertex of the
+/// one component (the second root might be an as-yet-unvisited vertex of the
 /// first root's component). So the claimer first takes the drain itself
 /// (pending 0 -> 1). While it holds that unit nothing is pending anywhere, no
-/// other worker colours a vertex, and it alone scans and moves the cursor.
+/// other worker claims a vertex, and it alone scans and moves the cursor.
 /// Sleep/wake churn on graphs with thousands of tiny components is the price
 /// of that soundness; the paper's experiments assume connected inputs, where
 /// this path runs at most once.
 template <storage::GraphStorage GS>
 RootClaim try_claim_root(TraversalState<GS>& st, std::size_t tid,
-                         std::uint32_t label, ThreadStats& ts) {
+                         ThreadStats& ts) {
   ++ts.pending_updates;
   if (!st.pending.try_take_drain()) return RootClaim::kBusy;
   // Relaxed on the cursor: the drain CAS orders one holder after the next.
   VertexId v = st.root_cursor.load(std::memory_order_relaxed);
-  while (v < st.n && SMPST_BENIGN_RACE_LOAD(st.color[v]) != 0) ++v;
+  while (v < st.n && SMPST_BENIGN_RACE_LOAD(st.parent[v]) != kInvalidVertex) {
+    ++v;
+  }
   if (v == st.n) {
     st.root_cursor.store(v, std::memory_order_relaxed);
     st.pending.add(-1);
@@ -155,7 +120,6 @@ RootClaim try_claim_root(TraversalState<GS>& st, std::size_t tid,
     return RootClaim::kExhausted;
   }
   // The drain unit becomes the root's pending count.
-  SMPST_BENIGN_RACE_STORE(st.color[v], label);
   SMPST_BENIGN_RACE_STORE(st.parent[v], v);
   st.root_cursor.store(v + 1, std::memory_order_relaxed);
   st.workers[tid]->queue.push(v);
@@ -163,42 +127,49 @@ RootClaim try_claim_root(TraversalState<GS>& st, std::size_t tid,
   return RootClaim::kClaimed;
 }
 
-/// Colour lines of neighbours this many iterations ahead are prefetched; far
+/// Parent lines of neighbours this many iterations ahead are prefetched; far
 /// enough to cover an L2 miss at typical expansion cost, near enough that the
 /// line is rarely evicted again before use.
-constexpr std::size_t kColorPrefetchDistance = 4;
+constexpr std::size_t kParentPrefetchDistance = 4;
+
+/// Vertices a worker takes from its own queue per lock acquisition. The
+/// acquisition that takes a batch also publishes the previous batch's
+/// children, so its cost is paid once per batch instead of once per vertex.
+/// publish_and_pop_batch leaves thieves at least half the queue.
+constexpr std::size_t kBatch = 8;
 
 /// Expansions between two looks at the stop flags, the expand failpoint and
 /// the cancel token: rare enough to keep them off the per-vertex path, often
 /// enough that a stop is seen within microseconds.
 constexpr std::size_t kExpansionsPerCheck = 64;
 
-/// Expands one vertex: colours every unvisited neighbour and writes it into
-/// the slots past the worker's published tail (Alg. 1 lines 2.3–2.7).
-/// Returns the number of children written; the caller publishes them.
+/// Expands one vertex: claims every unvisited neighbour and writes it into
+/// the worker's tail slots, after the `skip` children that earlier
+/// expansions of the batch wrote there (Alg. 1 lines 2.3–2.7). Returns the
+/// number of children written; the caller publishes them.
 template <storage::GraphStorage GS>
 std::size_t expand_vertex(TraversalState<GS>& st, SplitQueue<VertexId>& queue,
-                          std::uint32_t label, VertexId v,
+                          std::size_t skip, VertexId v,
                           std::uint64_t& edges_scanned) {
   const auto nbrs = st.g.neighbors(v);
   const std::size_t deg = nbrs.size();
   edges_scanned += deg;
-  const auto children = queue.tail_slots(deg);
+  const auto children = queue.tail_slots(skip, deg);
   std::size_t k = 0;
   for (std::size_t i = 0; i < deg; ++i) {
-    // The colour check is a random access per edge — the traversal's
+    // The parent check is a random access per edge — the traversal's
     // dominant miss source — so request upcoming lines a few edges early.
-    if (i + kColorPrefetchDistance < deg) {
-      prefetch_read(&st.color[nbrs[i + kColorPrefetchDistance]]);
+    if (i + kParentPrefetchDistance < deg) {
+      prefetch_read(&st.parent[nbrs[i + kParentPrefetchDistance]]);
     }
     const VertexId w = nbrs[i];
     // Deliberately check-then-set (no CAS): the race is benign (§2, Fig. 1).
-    // Two threads may both see 0 and both enqueue w; the duplicate expansion
-    // is absorbed by the pending counter and parent stays valid either way.
-    // These stores reach the worker that expands w through the queue's lock
-    // (publish_and_pop here, pop or steal there), never through the counter.
-    if (SMPST_BENIGN_RACE_LOAD(st.color[w]) == 0) {
-      SMPST_BENIGN_RACE_STORE(st.color[w], label);
+    // Two threads may both see w unvisited and both enqueue it; the
+    // duplicate expansion is absorbed by the pending counter and parent
+    // stays valid either way. These stores reach the worker that expands w
+    // through the queue's lock (the publish_and_pop_batch that publishes w,
+    // then the take or steal that hands it over), never through the counter.
+    if (SMPST_BENIGN_RACE_LOAD(st.parent[w]) == kInvalidVertex) {
       SMPST_BENIGN_RACE_STORE(st.parent[w], v);
       children[k++] = w;
     }
@@ -211,7 +182,6 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
                       const BaderCongOptions& opts, std::size_t p,
                       const StealDomains& domains, ThreadStats& ts) {
   SMPST_TRACE_SCOPE("bc.worker");
-  const auto label = static_cast<std::uint32_t>(tid + 1);
   const std::size_t steal_attempts =
       opts.steal_attempts != 0 ? opts.steal_attempts : 2 * p;
   const std::size_t starvation_threshold = std::max<std::size_t>(
@@ -241,43 +211,50 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
       st.gate.notify_work();
       break;
     }
-    VertexId v;
-    VertexId next_hint = kInvalidVertex;
-    if (queue.pop(v, &next_hint)) {
+    VertexId batch[kBatch];
+    std::size_t taken = queue.publish_and_pop_batch(0, batch, kBatch);
+    if (taken != 0) {
       starving_rounds = 0;
-      // Own work: each expansion publishes its children and pops the next
-      // vertex in one lock acquisition, until the queue runs dry or the
-      // check budget is spent.
+      // Own work: expand the batch, writing its children back to back past
+      // the tail, then publish them and take the next batch in one lock
+      // acquisition, until the queue runs dry or the check budget is spent.
       bool ran_dry = false;
       for (std::size_t left = kExpansionsPerCheck;;) {
-        // Warm the *next* frontier vertex's CSR slice while this one
-        // expands: neighbors() touches the offsets line and the first targets
-        // line, both cold for vertices that arrived by steal or long-ago
-        // enqueue. Resident backends only: on a blocked graph neighbors() is
-        // real cache/disk work, not a pointer computation, so the "hint"
-        // would cost more than the miss it hides.
-        if constexpr (storage::is_resident_v<GS>) {
-          if (next_hint != kInvalidVertex) {
-            prefetch_read(st.g.neighbors(next_hint).data());
+        std::size_t written = 0;
+        for (std::size_t i = 0; i < taken; ++i) {
+          // Warm the next batch member's CSR slice while this one expands:
+          // neighbors() touches the offsets line and the first targets
+          // line, both cold for vertices that arrived by steal or long-ago
+          // enqueue. Resident backends only: on a blocked graph neighbors()
+          // is real cache/disk work, not a pointer computation, so the
+          // "hint" would cost more than the miss it hides.
+          if constexpr (storage::is_resident_v<GS>) {
+            if (i + 1 < taken) {
+              prefetch_read(st.g.neighbors(batch[i + 1]).data());
+            }
           }
+          const std::size_t k =
+              expand_vertex(st, queue, written, batch[i], edges_scanned);
+          written += k;
+          // Children counted (+k) and the vertex consumed (-1) *before* the
+          // children are published, out of this worker's credit where it
+          // covers k-1, so the shared counter can never drain while any
+          // claimed-but-uncounted child exists, and a thief can never
+          // consume a child not yet counted. Most expansions leave the
+          // shared cacheline alone.
+          credit.consumed_produced(st.pending, static_cast<std::int64_t>(k));
         }
-        const std::size_t k = expand_vertex(st, queue, label, v, edges_scanned);
-        ++processed;
-        enqueued += k;
-        // Children counted (+k) and v consumed (-1) *before* the children
-        // are published, out of this worker's credit where it covers k-1, so
-        // the shared counter can never drain while any coloured-but-uncounted
-        // child exists, and a thief can never consume a child not yet
-        // counted. Most expansions leave the shared cacheline alone.
-        credit.consumed_produced(st.pending, static_cast<std::int64_t>(k));
-        const bool check_now = --left == 0;
+        processed += taken;
+        enqueued += written;
+        const bool check_now = left <= taken;
         if (check_now) {
-          queue.publish(k);
+          queue.publish(written);
         } else {
-          next_hint = kInvalidVertex;
-          ran_dry = !queue.publish_and_pop(k, v, &next_hint);
+          left -= taken;
+          taken = queue.publish_and_pop_batch(written, batch, kBatch);
+          ran_dry = taken == 0;
         }
-        if (k != 0) st.gate.notify_work();
+        if (written != 0) st.gate.notify_work();
         if (check_now || ran_dry) break;
       }
       if (!ran_dry) continue;  // back to the checks at the top
@@ -288,7 +265,7 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
     // as far as this worker is concerned.
     credit.flush(st.pending);
     if (st.pending.drained()) {
-      const RootClaim claim = try_claim_root(st, tid, label, ts);
+      const RootClaim claim = try_claim_root(st, tid, ts);
       if (claim == RootClaim::kClaimed) {
         SMPST_TRACE_INSTANT("bc.root");
         continue;
@@ -373,7 +350,6 @@ std::vector<VertexId> grow_stub_tree(TraversalState<GS>& st, VertexId start,
   // region handoff publishes these writes), so plain accesses are race-free.
   std::vector<VertexId> stub;
   stub.reserve(steps + 1);
-  st.color[start] = 1;
   st.parent[start] = start;
   stub.push_back(start);
   VertexId cur = start;
@@ -382,19 +358,15 @@ std::vector<VertexId> grow_stub_tree(TraversalState<GS>& st, VertexId start,
     if (nbrs.empty()) break;
     const VertexId next =
         nbrs[static_cast<std::size_t>(rng.next_bounded(nbrs.size()))];
-    if (st.color[next] == 0) {
-      st.color[next] = 1;
+    if (st.parent[next] == kInvalidVertex) {
       st.parent[next] = cur;
       stub.push_back(next);
     }
     cur = next;
   }
-  // Deal the stub vertices round-robin into the processors' queues and
-  // re-colour each with its owner's label.
+  // Deal the stub vertices round-robin into the processors' queues.
   for (std::size_t i = 0; i < stub.size(); ++i) {
-    const std::size_t owner = i % p;
-    st.color[stub[i]] = static_cast<std::uint32_t>(owner + 1);
-    st.workers[owner]->queue.push(stub[i]);
+    st.workers[i % p]->queue.push(stub[i]);
   }
   st.pending.reset(static_cast<std::int64_t>(stub.size()));
   return stub;
@@ -412,13 +384,13 @@ SpanningForest finish_with_sv(TraversalState<GS>& st, ThreadPool& pool,
   edges.reserve(n);
   std::vector<VertexId> labels(n);
 
-  // Initial labels: root of each partial tree for coloured vertices
-  // (memoized pointer walk), self for uncoloured ones.
+  // Initial labels: root of each partial tree for visited vertices
+  // (memoized pointer walk), self for unvisited ones.
   // Runs after the traversal region joined, so plain reads are race-free.
   std::vector<VertexId> root_of(n, kInvalidVertex);
   std::vector<VertexId> path;
   for (VertexId v = 0; v < n; ++v) {
-    if (st.color[v] == 0) {
+    if (st.parent[v] == kInvalidVertex) {
       labels[v] = v;
       continue;
     }
@@ -457,6 +429,8 @@ SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
   const VertexId n = g.num_vertices();
   const std::size_t p = pool.size();
 
+  // The fill is the traversal's visited mark. It runs on the calling
+  // thread, so on a multi-node host the caller's node holds its pages.
   SpanningForest forest;
   forest.parent.assign(n, kInvalidVertex);
   if (n == 0) return forest;
@@ -466,11 +440,6 @@ SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
 
   TraversalStats local_stats;
   local_stats.per_thread.resize(p);
-
-  // Phase 0: NUMA-aware first touch — each worker faults in its own shard of
-  // the colour array before any of it is read, so the pages land on the
-  // touching worker's node instead of all on the caller's.
-  st.first_touch_init(pool);
 
   // Same-node-first steal probing when the pool's placement is known.
   const StealDomains domains = StealDomains::for_pool(p, pool.pin_threads());
@@ -522,41 +491,39 @@ SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
     throw CancelledError();
   }
 
-  // The drained exit claims roots until none is left uncoloured, so every
-  // vertex is coloured and the traversal has written the whole forest.
-  VertexId colored = n;
+  // The drained exit claims roots until none is left unvisited, so every
+  // vertex has a parent and the traversal has written the whole forest.
+  VertexId visited = n;
   if (st.starved.load(std::memory_order_relaxed)) {
     // Detection mechanism fired: merge and finish with SV.
     local_stats.fallback_triggered = true;
+    // The duplicate accounting below is measured against the traversal's
+    // own visits. Count them first: st.parent is this forest's array, which
+    // the assignment below frees.
+    visited = static_cast<VertexId>(
+        std::count_if(st.parent, st.parent + n,
+                      [](VertexId pv) { return pv != kInvalidVertex; }));
     WallTimer fb_timer;
     {
       SMPST_TRACE_SCOPE("bc.sv_fallback");
-      // finish_with_sv reads st.parent, which is this forest's array, before
-      // the assignment replaces it.
       forest = finish_with_sv(st, pool, opts);
     }
     local_stats.fallback_seconds = fb_timer.elapsed_seconds();
-    // The forest came from the merge, but the traversal-phase colouring is
-    // still what the duplicate accounting below is measured against.
-    colored = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      if (st.color[v] != 0) ++colored;
-    }
   }
-  // duplicate_expansions = dequeues beyond one per *coloured* vertex,
+  // duplicate_expansions = dequeues beyond one per *visited* vertex,
   // computed on BOTH the normal and the starvation-fallback exits — a
   // fallback run used to leave it at zero, silently zeroing the
   // bc.duplicate_expansions metric exactly on the runs where races matter
-  // most. The coloured count, not n: isolated or unreached vertices are
+  // most. The visited count, not n: isolated or unreached vertices are
   // never dequeued, so subtracting n would wrap the uint64 whenever fewer
   // than n vertices entered the queues. Saturate at 0 for the
   // cancel-then-complete edge where a worker's final decrement raced the
-  // drain (and for fallback halts, where coloured-but-never-dequeued
+  // drain (and for fallback halts, where visited-but-never-dequeued
   // frontier vertices outnumber the dequeues).
-  local_stats.colored_vertices = colored;
+  local_stats.colored_vertices = visited;
   const std::uint64_t dequeued = local_stats.total_processed();
   local_stats.duplicate_expansions =
-      dequeued > colored ? dequeued - colored : 0;
+      dequeued > visited ? dequeued - visited : 0;
 
   {
     auto& reg = obs::MetricsRegistry::instance();

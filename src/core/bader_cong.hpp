@@ -5,22 +5,25 @@
 // tree and are dealt round-robin into the p processors' queues.
 //
 // Phase 2 (work-stealing traversal): each processor runs the sequential-style
-// BFS loop of Alg. 1 over its own queue, colouring vertices with its label
-// and writing parent pointers. The colour check/set is deliberately not
-// atomic read-modify-write: two processors may both claim a vertex, which is
+// BFS loop of Alg. 1 over its own queue, writing parent pointers; as in
+// sequential BFS, a vertex without a parent is unvisited, so each new child
+// costs one random write. The parent check/set is deliberately not atomic
+// read-modify-write: two processors may both claim a vertex, which is
 // benign — the vertex's parent ends up as one of the racing writers, either
-// of which yields a valid tree (§2, Fig. 1). An idle processor steals the
-// front portion of a random victim's queue. Termination is exact via a
-// pending-work counter, which each worker updates out of a private credit
-// and touches only for the excess and when its queue runs empty. The
-// paper's detection mechanism is implemented too: processors that cannot
-// steal sleep on a gate, and when enough of them sleep while work is still
-// pending the traversal halts and the partially grown forest is merged and
-// finished by Shiloach–Vishkin.
+// of which yields a valid tree (§2, Fig. 1). A processor takes a batch of
+// vertices from its queue per lock acquisition, the same acquisition that
+// publishes the previous batch's children, and leaves thieves at least half
+// the queue. An idle processor steals the front portion of a random
+// victim's queue. Termination is exact via a pending-work counter, which
+// each worker updates out of a private credit and touches only for the
+// excess and when its queue runs empty. The paper's detection mechanism is
+// implemented too: processors that cannot steal sleep on a gate, and when
+// enough of them sleep while work is still pending the traversal halts and
+// the partially grown forest is merged and finished by Shiloach–Vishkin.
 //
 // Disconnected inputs are handled by claiming a new root (atomically, via a
 // shared cursor) whenever the pending counter drains with vertices left
-// uncoloured, so the result is always a spanning forest of the whole graph.
+// unvisited, so the result is always a spanning forest of the whole graph.
 #pragma once
 
 #include <chrono>

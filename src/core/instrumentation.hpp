@@ -1,6 +1,6 @@
 // Execution statistics collected by the instrumented algorithm runs. These
 // feed the Helman–JáJá cost-model tables (E11, E13, E14 in DESIGN.md): work
-// balance per thread, steal traffic, duplicate colourings from the benign
+// balance per thread, steal traffic, duplicate claims from the benign
 // races, barrier counts, and SV iteration counts.
 #pragma once
 
@@ -35,18 +35,18 @@ struct TraversalStats {
 
   std::uint64_t stub_vertices = 0;
 
-  /// Vertices expanded more than once because two processors raced to colour
-  /// them (the paper reports "less than ten ... for a graph with millions of
-  /// vertices"). Computed as total dequeues minus distinct *coloured*
-  /// vertices, saturating at zero — isolated or unreached vertices are never
-  /// dequeued, so subtracting the full vertex count would underflow on
-  /// disconnected graphs. Filled on both the normal and the
-  /// starvation-fallback exits.
+  /// Vertices expanded more than once because two processors raced to claim
+  /// them (the paper's multiply-coloured vertices, "less than ten ... for a
+  /// graph with millions of vertices"). Computed as total dequeues minus
+  /// distinct *visited* vertices, saturating at zero — isolated or
+  /// unreached vertices are never dequeued, so subtracting the full vertex
+  /// count would underflow on disconnected graphs. Filled on both the
+  /// normal and the starvation-fallback exits.
   std::uint64_t duplicate_expansions = 0;
 
-  /// Vertices coloured when the traversal phase ended: n on a completed run
-  /// over a graph without isolated vertices, possibly fewer on fallback or
-  /// cancelled runs. The base the duplicate accounting subtracts.
+  /// Vertices with a parent (the traversal's visited mark) when the
+  /// traversal phase ended: n on a completed run, possibly fewer on a
+  /// fallback run. The base the duplicate accounting subtracts.
   std::uint64_t colored_vertices = 0;
 
   [[nodiscard]] std::uint64_t total_processed() const noexcept {

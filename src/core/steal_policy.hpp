@@ -8,7 +8,7 @@
 //
 // On NUMA hosts victim *order* matters as much as victim coverage: a steal
 // from a same-socket victim moves the stolen vertices' queue slots and their
-// colour/parent cachelines within one LLC, while a cross-socket steal drags
+// parent cachelines within one LLC, while a cross-socket steal drags
 // them over the interconnect. StealDomains encodes the placement the pool's
 // pinning produced so thieves probe intra-node victims before remote ones
 // (the locality technique of Sanders & Schimek's parallel MST engineering,

@@ -12,10 +12,12 @@
 // indices. It starts small and doubles under the lock, so its size follows
 // the live frontier rather than the graph. The owner writes new elements
 // into the slots past the published tail without the lock (tail_slots);
-// thieves never read there. One lock acquisition then publishes them and pops
-// the owner's next element (publish_and_pop), so a Bader–Cong expansion costs
-// one lock round trip. That acquisition is also the full fence per expansion
-// that the traversal's colour check-then-set needs (docs/CONCURRENCY.md).
+// thieves never read there. One lock acquisition then publishes a batch of
+// them and takes the owner's next batch (publish_and_pop_batch), so a
+// Bader–Cong worker pays one lock round trip per batch of expansions. That
+// acquisition is also the full fence between claiming a vertex and
+// expanding it that the traversal's parent check-then-set needs
+// (docs/CONCURRENCY.md).
 #pragma once
 
 #include <algorithm>
@@ -38,8 +40,9 @@ class SplitQueue {
  public:
   static constexpr std::size_t kInitialCapacity = 1024;
 
-  /// Writable slots past the published tail; slot i holds the i-th element
-  /// the next publish will add. Valid until the owner's next queue call.
+  /// Writable slots past the published tail, starting after the slots the
+  /// owner has already written there. Valid until the owner's next queue
+  /// call.
   class TailSlots {
    public:
     T& operator[](std::size_t i) const noexcept {
@@ -64,14 +67,14 @@ class SplitQueue {
         buf_(new T[mask_ + 1]),
         room_(mask_ + 1) {}
 
-  /// Owner: room for `count` elements past the published tail. Thieves
-  /// cannot see these slots until publish() or publish_and_pop() moves the
-  /// tail over them. Takes the lock only when the ring must grow. A growth
-  /// keeps only published elements, so a batch takes all its room in one
-  /// call.
-  TailSlots tail_slots(std::size_t count) {
-    if (count > room_) [[unlikely]] grow_for(count);
-    return TailSlots(buf_.get(), mask_, tail_);
+  /// Owner: room for `count` elements past the `skip` slots already written
+  /// past the published tail since the last publish. Thieves cannot see any
+  /// of these slots until publish() or publish_and_pop_batch() moves the
+  /// tail over them. Takes the lock only when the ring must grow; a growth
+  /// carries the `skip` written slots along.
+  TailSlots tail_slots(std::size_t skip, std::size_t count) {
+    if (skip + count > room_) [[unlikely]] grow_for(skip, count);
+    return TailSlots(buf_.get(), mask_, tail_ + skip);
   }
 
   /// Owner: publishes the first `k` tail slots.
@@ -81,12 +84,22 @@ class SplitQueue {
     note_owner_op();
   }
 
-  /// Owner: publishes the first `k` tail slots, then pops as pop() does,
-  /// under one lock acquisition.
-  bool publish_and_pop(std::size_t k, T& out, T* next_hint = nullptr) {
+  /// Owner: publishes the first `k` tail slots, then moves up to `max`
+  /// elements from the front into `out`, under one lock acquisition. Takes
+  /// at most half the queue, rounded up, so thieves always find the rest.
+  /// Returns the number taken: 0 only when the queue is empty.
+  std::size_t publish_and_pop_batch(std::size_t k, T* out, std::size_t max) {
+    // Fault site before the lock and before any element moves: a throw
+    // here leaves every published element in place for thieves.
+    SMPST_FAILPOINT("sched.work_queue.pop");
     LockGuard<SpinLock> lk(lock_);
     tail_ += k;
-    return pop_locked(out, next_hint);
+    const std::size_t size = tail_ - head_;
+    const std::size_t take = std::min(max, size - size / 2);
+    for (std::size_t i = 0; i < take; ++i) out[i] = buf_[(head_ + i) & mask_];
+    head_ += take;
+    note_owner_op();
+    return take;
   }
 
   /// Owner: append one element at the back.
@@ -94,23 +107,13 @@ class SplitQueue {
 
   /// Owner: append many elements at the back.
   void push_bulk(const T* values, std::size_t count) {
-    const TailSlots slots = tail_slots(count);
+    const TailSlots slots = tail_slots(0, count);
     for (std::size_t i = 0; i < count; ++i) slots[i] = values[i];
     publish(count);
   }
 
   /// Owner: remove the front element (BFS order). Returns false when empty.
-  /// When `next_hint` is non-null and another element remains after the pop,
-  /// the new front is copied into it (left untouched otherwise) — a free
-  /// peek, taken under the same lock acquisition, that lets the caller
-  /// prefetch the next item's data while processing the popped one.
-  bool pop(T& out, T* next_hint = nullptr) {
-    // Fault site before the lock and before any element moves: a throw or
-    // delay here leaves every queued vertex in place for thieves.
-    SMPST_FAILPOINT("sched.work_queue.pop");
-    LockGuard<SpinLock> lk(lock_);
-    return pop_locked(out, next_hint);
-  }
+  bool pop(T& out) { return publish_and_pop_batch(0, &out, 1) == 1; }
 
   /// Thief: move up to `max_take` elements from the front into `out`.
   /// Returns the number taken. Never blocks on the thief's own queue, so
@@ -149,18 +152,6 @@ class SplitQueue {
   }
 
  private:
-  bool pop_locked(T& out, T* next_hint) SMPST_REQUIRES(lock_) {
-    const bool got = head_ != tail_;
-    if (got) {
-      out = buf_[head_++ & mask_];
-      if (next_hint != nullptr && head_ != tail_) {
-        *next_hint = buf_[head_ & mask_];
-      }
-    }
-    note_owner_op();
-    return got;
-  }
-
   /// Publishes the size and refreshes the owner's room after any operation
   /// the owner makes under the lock.
   void note_owner_op() SMPST_REQUIRES(lock_) {
@@ -169,23 +160,24 @@ class SplitQueue {
     room_ = mask_ + 1 - size;
   }
 
-  /// Doubles the ring until `count` slots fit past the tail, moving each
-  /// published element to the slot its index maps to in the new ring. Out
-  /// of line: it runs a few times per traversal, and inlined it would bloat
+  /// Doubles the ring until `skip + count` slots fit past the published
+  /// tail, moving each published element, and each of the `skip` written
+  /// past the tail, to the slot its index maps to in the new ring. Out of
+  /// line: it runs a few times per traversal, and inlined it would bloat
   /// every owner path that may grow.
-  [[gnu::noinline]] void grow_for(std::size_t count) {
+  [[gnu::noinline]] void grow_for(std::size_t skip, std::size_t count) {
     LockGuard<SpinLock> lk(lock_);
     const std::size_t size = tail_ - head_;
     const std::size_t old_cap = mask_ + 1;
     std::size_t cap = old_cap;
-    while (cap - size < count) {
+    while (cap - size < skip + count) {
       SMPST_CHECK(cap <= std::numeric_limits<std::size_t>::max() / 2,
                   "SplitQueue capacity overflow: cannot double further");
       cap *= 2;
     }
     if (cap != old_cap) {
       std::unique_ptr<T[]> bigger(new T[cap]);
-      for (std::size_t i = head_; i != tail_; ++i) {
+      for (std::size_t i = head_; i != tail_ + skip; ++i) {
         bigger[i & (cap - 1)] = buf_[i & mask_];
       }
       buf_ = std::move(bigger);

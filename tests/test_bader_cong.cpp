@@ -114,9 +114,10 @@ TEST(BaderCong, RepeatedRunsOnSmallGraphStayValid) {
   }
 }
 
-// The colour stores of one expansion are ordered before the colour loads of
-// the next only by the queue lock each expansion takes in publish_and_pop
-// (or pop/steal); the pending counter no longer orders them. A queue path
+// A vertex's claim (its parent store) is ordered before its expansion's
+// parent loads only by the queue lock taken in between: the
+// publish_and_pop_batch that publishes it and hands over a batch (or a
+// steal); the pending counter does not order them. A queue path
 // without that fence produced parent cycles on these small graphs at p=8
 // about once in 40 sweeps, so hammer them over many seeds and validate every
 // forest. 2d60 at this size has several components, so the drain and root

@@ -95,28 +95,34 @@ TEST(Fuzz, SplitQueueMatchesDequeModel) {
           }
           break;
         }
-        case 3:    // write k tail slots and publish them, or
-        case 4: {  // publish them and pop, as an expansion does
+        case 3:    // write k tail slots in one or more pieces, then publish
+        case 4: {  // them, or publish them and take a batch, as a worker does
           const auto k = static_cast<std::size_t>(rng.next_bounded(12));
-          const auto slots = q.tail_slots(k);
-          for (std::size_t i = 0; i < k; ++i) {
-            slots[i] = next;
-            model.push_back(next);
-            ++next;
+          std::size_t written = 0;
+          while (written < k) {
+            const std::size_t piece = std::min<std::size_t>(
+                k - written, 1 + rng.next_bounded(k));
+            const auto slots = q.tail_slots(written, piece);
+            for (std::size_t i = 0; i < piece; ++i) {
+              slots[i] = next;
+              model.push_back(next);
+              ++next;
+            }
+            written += piece;
           }
           ASSERT_EQ(q.size_hint(), model.size() - k);  // not yet visible
           if (choice == 3) {
             q.publish(k);
             break;
           }
-          int got = -1;
-          int hint = -1;
-          const bool ok = q.publish_and_pop(k, got, &hint);
-          ASSERT_EQ(ok, !model.empty());
-          if (ok) {
-            ASSERT_EQ(got, model.front());
+          const auto max = static_cast<std::size_t>(1 + rng.next_bounded(9));
+          int batch[9];
+          const std::size_t took = q.publish_and_pop_batch(k, batch, max);
+          const std::size_t size = model.size();
+          ASSERT_EQ(took, std::min(max, size - size / 2));
+          for (std::size_t i = 0; i < took; ++i) {
+            ASSERT_EQ(batch[i], model.front());
             model.pop_front();
-            ASSERT_EQ(hint, model.empty() ? -1 : model.front());
           }
           break;
         }

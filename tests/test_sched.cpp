@@ -231,23 +231,22 @@ TEST(SplitQueue, FifoOrderSurvivesManyWrapsAndGrowths) {
 TEST(SplitQueue, TailSlotsStayInvisibleUntilPublished) {
   SplitQueue<int> q(8);
   q.push(1);
-  const auto slots = q.tail_slots(3);
+  const auto slots = q.tail_slots(0, 2);
   slots[0] = 2;
   slots[1] = 3;
-  slots[2] = 4;
+  q.tail_slots(2, 1)[0] = 4;  // a second expansion's child, after the first's
   // Written but unpublished: a thief sees only the published element.
   EXPECT_EQ(q.size_hint(), 1u);
   std::vector<int> loot;
   EXPECT_EQ(q.steal(loot, 8), 1u);
   EXPECT_EQ(loot, (std::vector<int>{1}));
-  int v = -1;
-  int hint = -1;
-  ASSERT_TRUE(q.publish_and_pop(2, v, &hint));  // publishes 2 and 3
-  EXPECT_EQ(v, 2);
-  EXPECT_EQ(hint, 3);
+  int batch[8] = {};
+  ASSERT_EQ(q.publish_and_pop_batch(2, batch, 8), 1u);  // publishes 2 and 3
+  EXPECT_EQ(batch[0], 2);
   EXPECT_EQ(q.size_hint(), 1u);
-  ASSERT_TRUE(q.publish_and_pop(0, v));
-  EXPECT_EQ(v, 3);
+  ASSERT_EQ(q.publish_and_pop_batch(0, batch, 8), 1u);
+  EXPECT_EQ(batch[0], 3);
+  int v = -1;
   EXPECT_FALSE(q.pop(v));
 }
 
@@ -257,7 +256,7 @@ TEST(SplitQueue, TailSlotsGrowTheRingAroundWrappedElements) {
   int v = -1;
   ASSERT_TRUE(q.pop(v));
   q.push(3);  // the live run 1, 2, 3 now wraps past the ring's end
-  const auto slots = q.tail_slots(40);  // 43 live: the ring must grow
+  const auto slots = q.tail_slots(0, 40);  // 43 live: the ring must grow
   EXPECT_GE(q.capacity(), 43u);
   EXPECT_EQ(q.size_hint(), 3u);
   for (int i = 0; i < 40; ++i) slots[i] = 4 + i;
@@ -269,17 +268,70 @@ TEST(SplitQueue, TailSlotsGrowTheRingAroundWrappedElements) {
   EXPECT_FALSE(q.pop(v));
 }
 
+TEST(SplitQueue, UnpublishedSlotsSurviveAGrowth) {
+  // A batch's first expansions fill the ring's free slots past the tail
+  // without publishing them; the next expansion's room forces a doubling,
+  // which must carry those written slots to their new positions.
+  SplitQueue<int> q(8);
+  for (int i = 0; i < 5; ++i) q.push(i);
+  int v = -1;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(q.pop(v));
+  for (int i = 5; i < 9; ++i) q.push(i);  // live 3..8 wraps past slot 7
+  std::size_t skip = 0;
+  int next = 9;
+  for (int expansion = 0; expansion < 2; ++expansion) {
+    q.tail_slots(skip, 1)[0] = next++;
+    ++skip;
+  }
+  ASSERT_EQ(q.capacity(), 8u);  // 6 live + 2 written: full, not grown
+  const auto slots = q.tail_slots(skip, 20);
+  EXPECT_GE(q.capacity(), 28u);
+  EXPECT_EQ(q.size_hint(), 6u);  // the written slots are still unpublished
+  for (std::size_t i = 0; i < 20; ++i) slots[i] = next++;
+  q.publish(skip + 20);
+  for (int i = 3; i < next; ++i) {
+    ASSERT_TRUE(q.pop(v));
+    EXPECT_EQ(v, i);
+  }
+  EXPECT_FALSE(q.pop(v));
+}
+
+TEST(SplitQueue, BatchTakeLeavesThievesHalf) {
+  // publish_and_pop_batch takes at most `max` and at most half the queue,
+  // rounded up, front first.
+  SplitQueue<int> q;
+  int batch[8] = {};
+  for (int i = 0; i < 20; ++i) q.push(i);
+  ASSERT_EQ(q.publish_and_pop_batch(0, batch, 8), 8u);  // max binds
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(batch[i], i);
+  EXPECT_EQ(q.size_hint(), 12u);
+  ASSERT_EQ(q.publish_and_pop_batch(0, batch, 3), 3u);  // a smaller max
+  EXPECT_EQ(batch[0], 8);
+  std::vector<int> loot;
+  ASSERT_EQ(q.steal(loot, 4), 4u);  // 15..19 left
+  ASSERT_EQ(q.publish_and_pop_batch(0, batch, 8), 3u);  // half binds: ⌈5/2⌉
+  EXPECT_EQ(batch[0], 15);
+  EXPECT_EQ(batch[2], 17);
+  EXPECT_EQ(q.size_hint(), 2u);
+  q.tail_slots(0, 1)[0] = 20;
+  ASSERT_EQ(q.publish_and_pop_batch(1, batch, 8), 2u);  // ⌈3/2⌉, counted
+  EXPECT_EQ(batch[1], 19);                              // after publishing
+  ASSERT_EQ(q.publish_and_pop_batch(0, batch, 8), 1u);  // ⌈1/2⌉ = 1
+  EXPECT_EQ(batch[0], 20);
+  EXPECT_EQ(q.publish_and_pop_batch(0, batch, 8), 0u);
+}
+
 TEST(SplitQueue, PublishAndPopNothingOnEmptyQueue) {
   SplitQueue<int> q;
-  int v = -1;
-  int hint = -1;
-  EXPECT_FALSE(q.publish_and_pop(0, v, &hint));
-  EXPECT_EQ(v, -1);
-  EXPECT_EQ(hint, -1);
+  int batch[4] = {-1, -1, -1, -1};
+  EXPECT_EQ(q.publish_and_pop_batch(0, batch, 4), 0u);
+  EXPECT_EQ(batch[0], -1);
   EXPECT_EQ(q.size_hint(), 0u);
   q.push(5);
+  int v = -1;
   ASSERT_TRUE(q.pop(v));
-  EXPECT_FALSE(q.publish_and_pop(0, v, &hint));
+  EXPECT_EQ(q.publish_and_pop_batch(0, batch, 4), 0u);
+  EXPECT_EQ(batch[0], -1);
   EXPECT_EQ(q.size_hint(), 0u);
 }
 
@@ -557,29 +609,12 @@ TEST(ThreadPool, DefaultIsUnpinned) {
   EXPECT_FALSE(pool.pin_threads());
 }
 
-TEST(SplitQueue, PopExposesNextFrontAsHint) {
-  SplitQueue<int> q;
-  for (int i = 0; i < 3; ++i) q.push(i);
-  int v = -1;
-  int hint = -1;
-  ASSERT_TRUE(q.pop(v, &hint));
-  EXPECT_EQ(v, 0);
-  EXPECT_EQ(hint, 1);
-  ASSERT_TRUE(q.pop(v, &hint));
-  EXPECT_EQ(v, 1);
-  EXPECT_EQ(hint, 2);
-  hint = -1;
-  ASSERT_TRUE(q.pop(v, &hint));  // last element: hint must stay untouched
-  EXPECT_EQ(v, 2);
-  EXPECT_EQ(hint, -1);
-  EXPECT_FALSE(q.pop(v, &hint));
-}
-
 TEST(SplitQueue, PublishAndPopRacesHalfStealersSafely) {
-  // The Bader–Cong owner loop against three idle workers: the owner writes
-  // 0-3 new items past the tail per step, then publishes them and pops its
-  // next one in one call; thieves probe the size hint and steal half. Every
-  // item is taken exactly once. Run under TSan.
+  // The Bader–Cong owner loop against three idle workers: the owner takes a
+  // batch of up to 8 items, "expands" each by writing 0-3 new items back to
+  // back past the tail, then publishes them all and takes its next batch in
+  // one call; thieves probe the size hint and steal half. Every item is
+  // taken exactly once. Run under TSan.
   SplitQueue<int> q(16);
   constexpr int kItems = 100000;
   std::vector<std::atomic<int>> seen(kItems);
@@ -599,15 +634,21 @@ TEST(SplitQueue, PublishAndPopRacesHalfStealersSafely) {
   }
   Xoshiro256 rng(17);
   int made = 0;
-  int v = -1;
-  bool have = false;
-  while (made < kItems || have) {
-    const int k = std::min(kItems - made,
-                           static_cast<int>(rng.next_bounded(4)));
-    const auto slots = q.tail_slots(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) slots[i] = made++;
-    if (have) seen[v].fetch_add(1);
-    have = q.publish_and_pop(static_cast<std::size_t>(k), v);
+  int batch[8];
+  std::size_t taken = 0;
+  while (made < kItems || taken != 0) {
+    std::size_t written = 0;
+    // An empty batch still writes, so the owner makes items while thieves
+    // hold all of them.
+    for (std::size_t i = 0; i < std::max<std::size_t>(taken, 1); ++i) {
+      const int k = std::min(kItems - made,
+                             static_cast<int>(rng.next_bounded(4)));
+      const auto slots = q.tail_slots(written, static_cast<std::size_t>(k));
+      for (int j = 0; j < k; ++j) slots[j] = made++;
+      written += static_cast<std::size_t>(k);
+      if (i < taken) seen[batch[i]].fetch_add(1);
+    }
+    taken = q.publish_and_pop_batch(written, batch, 8);
   }
   stop.store(true);
   for (auto& t : thieves) t.join();

@@ -233,9 +233,12 @@ _CLASS_RE = re.compile(
     r"\b(?:class|struct)\s+(?:SMPST_[A-Z_]+(?:\(\s*\w*\s*\))?\s+)?"
     r"(?P<name>\w+(?:\s*::\s*\w+)*)\s*(?:final\s*)?(?::(?!:)\s*[^{]*)?$")
 _ENUM_RE = re.compile(r"\benum\b")
+# A trailing return type holds no unbalanced parenthesis, so the tail of
+# `if (st.workers[t]->queue.pop(v)) {` is not one.
 _LAMBDA_TAIL_RE = re.compile(
     r"\[[^\[\]]*\]\s*(?:\([^{}]*\))?\s*(?:mutable\s*)?(?:constexpr\s*)?"
-    r"(?:noexcept\s*(?:\([^()]*\))?)?\s*(?:->\s*[^{]+?)?\s*$")
+    r"(?:noexcept\s*(?:\([^()]*\))?)?\s*"
+    r"(?:->\s*[^{()]+?(?:\([^{}()]*\)[^{()]*?)?)?\s*$")
 _LAMBDA_PASSED_RE = re.compile(
     r"(?P<chain>(?:\w+(?:\[[^\]]*\])?\s*(?:\.|->)\s*|\w+\s*::\s*)*)"
     r"(?P<callee>\w+)\s*\(\s*(?:[^()\[\]]*,\s*)?$")

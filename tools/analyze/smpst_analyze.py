@@ -266,8 +266,10 @@ class Analyzer:
             return
         concurrent = self._concurrent_functions()
         names = "|".join(sorted(RACY_MEMBERS))
+        # The lookbehind keeps the second `&` of `x && st.parent[w]` from
+        # reading as address-of: that is an access, not a prefetch address.
         access_re = re.compile(
-            rf"(?P<addr>&\s*)?"
+            rf"(?P<addr>(?<!&)&\s*)?"
             rf"(?P<chain>(?:\b\w+(?:\[[^\]]*\])?\s*(?:\.|->)\s*)*)"
             rf"\b(?P<mem>{names})\s*(?P<how>\[|\.\s*(?:get|data)\s*\()")
         for fn in concurrent:

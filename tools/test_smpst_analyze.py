@@ -28,6 +28,8 @@ FIXTURES = ROOT / "tests" / "analyze_fixtures"
 # fixture file -> expected multiset of rule IDs.
 EXPECTED: dict[str, collections.Counter] = {
     "sa1_bad_plain_access.cpp": collections.Counter({"SA1": 4}),
+    "sa1_bad_logical_and.cpp": collections.Counter({"SA1": 2}),
+    "sa1_bad_subscript_call_block.cpp": collections.Counter({"SA1": 2}),
     "sa1_good_wrapped.cpp": collections.Counter(),
     "sa2_bad_hidden_atomic.cpp": collections.Counter({"SA2": 5}),
     "sa2_good_explicit.cpp": collections.Counter(),
