@@ -2,9 +2,9 @@
 // Helman-JáJá model is a first-class cost in the paper's analysis (the new
 // algorithm's selling point is B = 2 vs SV's 4 log n), and the paper's
 // implementation used the software barriers of SIMPLE [5]. This bench
-// measures barrier latency per episode for the three implementations in
-// sched/barrier.hpp across party counts — the measured numbers are what the
-// cost model's `barrier_ns` parameter abstracts.
+// measures barrier latency per episode for SpinBarrier (sched/barrier.hpp)
+// and the two in ablation_barriers.hpp across party counts — the measured
+// numbers are what the cost model's `barrier_ns` parameter abstracts.
 //
 // Note: on a single-core host every episode costs at least p context
 // switches, so absolute numbers here are upper bounds; the *relative*
@@ -16,6 +16,7 @@
 
 #include "bench_util/cli.hpp"
 #include "bench_util/table.hpp"
+#include "ablation_barriers.hpp"
 #include "sched/barrier.hpp"
 #include "sched/thread_pool.hpp"
 #include "support/timer.hpp"

@@ -184,7 +184,8 @@ PerfRun measure_sv(const Graph& g, ThreadPool& pool, std::size_t p,
 /// time sequential BFS through the block cache at each budget percentage.
 /// Sequential BFS is the purest cache workload of the columns — one thread
 /// streaming adjacency in vertex order — so its slowdown isolates the
-/// storage layer from scheduling effects.
+/// storage layer from scheduling effects. Bader–Cong at the largest thread
+/// count follows over the same cache, so cache contention shows too.
 void run_storage_sweep(const Graph& g, PerfFamilyResult& fam,
                        const PerfSuiteConfig& config, std::ostream& progress) {
   namespace fs = std::filesystem;
@@ -201,6 +202,19 @@ void run_storage_sweep(const Graph& g, PerfFamilyResult& fam,
   const std::uint64_t block_bytes = config.storage_block_bytes;
   const std::uint64_t file_block_bytes =
       (header.file_bytes + block_bytes - 1) / block_bytes * block_bytes;
+  const auto bc_p = static_cast<std::size_t>(
+      *std::max_element(config.threads.begin(), config.threads.end()));
+  double bc_resident_median = 0.0;
+  for (const auto& run : fam.runs) {
+    if (run.algo == "bader_cong" && run.p == bc_p) {
+      bc_resident_median = run.timing.median_s;
+    }
+  }
+  ThreadPoolOptions pool_opts;
+  pool_opts.pin_threads = config.pin_threads;
+  ThreadPool pool(bc_p, pool_opts);
+  BaderCongOptions bc_opts;
+  bc_opts.seed = config.seed;
 
   for (const std::int64_t pct : config.storage_budget_percents) {
     SMPST_CHECK(pct >= 1 && pct <= 100,
@@ -233,12 +247,23 @@ void run_storage_sweep(const Graph& g, PerfFamilyResult& fam,
     run.evictions = after.evictions - before.evictions;
     run.hit_rate = storage::BlockCache::Stats{run.hits, run.misses}.hit_rate();
     const std::uint64_t expanded = run.timing.repetitions * fam.n;
-    run.pins_per_vertex = static_cast<double>(run.hits + run.misses) /
-                          static_cast<double>(expanded);
+    run.reads_per_vertex = static_cast<double>(run.hits + run.misses) /
+                           static_cast<double>(expanded);
+
+    run.bader_cong_p = bc_p;
+    run.bader_cong = time_repeated(
+        [&] { forest = bader_cong_spanning_tree(bg, pool, bc_opts); },
+        config.repeats);
+    const auto bc_report = validate_spanning_forest(bg, forest);
+    SMPST_CHECK(bc_report.ok, bc_report.error.c_str());
+    run.bader_cong_slowdown_vs_resident =
+        safe_speedup(run.bader_cong.median_s, bc_resident_median);
     progress << "#   storage budget=" << pct
              << "% hit_rate=" << json_double(run.hit_rate)
-             << " pins_per_vertex=" << json_double(run.pins_per_vertex)
-             << " slowdown=" << json_double(run.slowdown_vs_resident) << "\n";
+             << " reads_per_vertex=" << json_double(run.reads_per_vertex)
+             << " slowdown=" << json_double(run.slowdown_vs_resident)
+             << " bader_cong_p" << bc_p << "_slowdown="
+             << json_double(run.bader_cong_slowdown_vs_resident) << "\n";
     fam.storage.push_back(run);
   }
   std::error_code ec;
@@ -535,8 +560,14 @@ void write_perf_suite_json(const PerfSuiteResult& result, std::ostream& os) {
            << "          \"hits\": " << srun.hits << ",\n"
            << "          \"misses\": " << srun.misses << ",\n"
            << "          \"evictions\": " << srun.evictions << ",\n"
-           << "          \"pins_per_vertex\": "
-           << json_double(srun.pins_per_vertex) << "\n"
+           << "          \"reads_per_vertex\": "
+           << json_double(srun.reads_per_vertex) << ",\n"
+           << "          \"bader_cong_p\": " << srun.bader_cong_p << ",\n"
+           << "          \"bader_cong\": ";
+        write_timing(os, srun.bader_cong, "          ");
+        os << ",\n"
+           << "          \"bader_cong_slowdown_vs_resident\": "
+           << json_double(srun.bader_cong_slowdown_vs_resident) << "\n"
            << "        }" << (si + 1 < fam.storage.size() ? "," : "") << "\n";
       }
       os << "      ]";

@@ -115,11 +115,10 @@ struct PerfRun {
   std::uint64_t direction_switches = 0;
 };
 
-/// One blocked-backend cell of the storage sweep: sequential BFS with the
-/// block cache capped at `budget_fraction` of the CSR payload. Cache
-/// counters are cumulative over the repeats, so the hit rate blends the cold
-/// first pass with the warmed remainder — at 100% budget it converges
-/// towards 1, at small budgets eviction keeps it low on every pass.
+/// One blocked-backend cell of the storage sweep: sequential BFS, then
+/// Bader–Cong at the largest thread count, with the block cache capped at
+/// `budget_fraction` of the CSR payload. Cache counters cover the BFS
+/// repeats only.
 struct PerfStorageRun {
   double budget_fraction = 1.0;  ///< of the CSR payload bytes
   std::size_t budget_bytes = 0;
@@ -130,8 +129,15 @@ struct PerfStorageRun {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  /// (hits + misses) / (repetitions * n): cache pins per BFS-expanded vertex.
-  double pins_per_vertex = 0.0;
+  /// (hits + misses) / (repetitions * n): block reads per BFS-expanded
+  /// vertex, lock-free hits and pins alike.
+  double reads_per_vertex = 0.0;
+  /// Bader–Cong over the same cache at p = bader_cong_p, the largest
+  /// thread count of the suite: where workers contend for the shard locks.
+  std::size_t bader_cong_p = 0;
+  TimingStats bader_cong;
+  /// Blocked Bader–Cong median / resident Bader–Cong median at that p.
+  double bader_cong_slowdown_vs_resident = 0.0;
 };
 
 struct PerfFamilyResult {

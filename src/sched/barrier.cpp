@@ -28,56 +28,4 @@ void SpinBarrier::arrive_and_wait() noexcept {
   }
 }
 
-BlockingBarrier::BlockingBarrier(std::size_t parties) : parties_(parties) {
-  SMPST_CHECK(parties >= 1, "barrier needs at least one party");
-}
-
-void BlockingBarrier::arrive_and_wait() {
-  LockGuard<Mutex> lk(mutex_);
-  const std::uint64_t gen = generation_;
-  if (++waiting_ == parties_) {
-    waiting_ = 0;
-    ++generation_;
-    cv_.notify_all();
-  } else {
-    while (generation_ == gen) cv_.wait(mutex_);
-  }
-}
-
-}  // namespace smpst
-
-namespace smpst {
-
-DisseminationBarrier::DisseminationBarrier(std::size_t parties)
-    : parties_(parties), flags_(parties), parity_(parties) {
-  SMPST_CHECK(parties >= 1, "barrier needs at least one party");
-  rounds_ = 0;
-  while ((std::size_t{1} << rounds_) < parties_) ++rounds_;
-  SMPST_CHECK(rounds_ <= 32, "dissemination barrier supports up to 2^32 parties");
-  for (auto& f : flags_) {
-    for (auto& par : f->slot) {
-      for (auto& s : par) s.store(false, std::memory_order_relaxed);
-    }
-  }
-  for (auto& p : parity_) *p = 0;
-}
-
-void DisseminationBarrier::arrive_and_wait(std::size_t tid) noexcept {
-  SMPST_ASSERT(tid < parties_);
-  const std::uint8_t parity = *parity_[tid];
-  for (std::size_t k = 0; k < rounds_; ++k) {
-    const std::size_t partner = (tid + (std::size_t{1} << k)) % parties_;
-    flags_[partner]->slot[parity][k].store(true, std::memory_order_release);
-    int spins = 0;
-    while (!flags_[tid]->slot[parity][k].load(std::memory_order_acquire)) {
-      if (++spins >= 64) {
-        std::this_thread::yield();
-        spins = 0;
-      }
-    }
-    flags_[tid]->slot[parity][k].store(false, std::memory_order_relaxed);
-  }
-  *parity_[tid] ^= 1;
-}
-
 }  // namespace smpst

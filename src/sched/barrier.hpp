@@ -2,17 +2,14 @@
 //
 // The paper's implementation uses the software barriers of SIMPLE (Bader &
 // JáJá 1999). SpinBarrier is the equivalent sense-reversing centralized
-// barrier; BlockingBarrier trades latency for zero busy-wait and is what the
-// micro-benchmarks compare against. Both count a "barrier episode" so the
-// Helman–JáJá B(n,p) term can be measured directly.
+// barrier; it counts a "barrier episode" so the Helman–JáJá B(n,p) term can
+// be measured directly. The barriers it is measured against live with their
+// one benchmark, in bench/ablation_barriers.hpp.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <vector>
-
-#include "support/cacheline.hpp"
-#include "support/thread_annotations.hpp"
+#include <cstdint>
 
 namespace smpst {
 
@@ -55,50 +52,5 @@ bool vote_or(Barrier& barrier, std::atomic<bool>& flag, std::size_t tid,
   barrier.arrive_and_wait();
   return result;
 }
-
-/// Mutex + condition-variable barrier; no busy waiting.
-class BlockingBarrier {
- public:
-  explicit BlockingBarrier(std::size_t parties);
-
-  void arrive_and_wait();
-
-  [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
-
- private:
-  const std::size_t parties_;
-  Mutex mutex_{lockdep::rank::kBarrier};
-  CondVar cv_;
-  std::size_t waiting_ SMPST_GUARDED_BY(mutex_) = 0;
-  std::uint64_t generation_ SMPST_GUARDED_BY(mutex_) = 0;
-};
-
-/// Dissemination barrier (Hensgen–Finkel–Manber): log2(p) rounds in which
-/// thread t signals thread (t + 2^k) mod p and waits for the signal from
-/// (t - 2^k) mod p. No single hot cache line, O(log p) latency — the
-/// structure the SIMPLE library's tree barriers approximate, included so the
-/// barrier-cost term of the Helman–JáJá model can be measured against the
-/// centralized SpinBarrier. Unlike the other barriers, callers must pass
-/// their thread id.
-class DisseminationBarrier {
- public:
-  explicit DisseminationBarrier(std::size_t parties);
-
-  /// Every party must call with its unique tid in [0, parties).
-  void arrive_and_wait(std::size_t tid) noexcept;
-
-  [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
-
- private:
-  struct Flags {
-    // flags_[parity][round]: signal slot for this thread.
-    std::atomic<bool> slot[2][32];
-  };
-
-  const std::size_t parties_;
-  std::size_t rounds_;
-  std::vector<Padded<Flags>> flags_;
-  std::vector<Padded<std::uint8_t>> parity_;  // per-thread episode parity
-};
 
 }  // namespace smpst

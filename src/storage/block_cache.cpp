@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -10,6 +11,7 @@
 
 #include "support/assert.hpp"
 #include "support/failpoint.hpp"
+#include "support/race.hpp"
 
 namespace smpst::storage {
 
@@ -33,6 +35,53 @@ EvictionPolicy parse_eviction_policy(const std::string& s) {
   fail("unknown eviction policy: " + s);
 }
 
+namespace detail {
+
+namespace {
+
+// Bit i set: stripe i is leased to a live thread. Leasing is acquire and
+// returning is release, so a stripe's next owner sees every count its
+// previous owner stored there.
+std::atomic<std::uint64_t> g_leased_stripes{0};
+
+struct StripeLease {
+  std::uint32_t stripe = BlockCache::kHitStripes;
+  StripeLease() noexcept {
+    std::uint64_t leased = g_leased_stripes.load(std::memory_order_relaxed);
+    while (leased != ~std::uint64_t{0}) {
+      const int free_bit = std::countr_one(leased);
+      if (g_leased_stripes.compare_exchange_weak(
+              leased, leased | (std::uint64_t{1} << free_bit),
+              std::memory_order_acquire, std::memory_order_relaxed)) {
+        stripe = static_cast<std::uint32_t>(free_bit);
+        break;
+      }
+    }
+  }
+  ~StripeLease() {
+    // A hit counted after this (by another thread_local's destructor) goes
+    // to the shared stripe.
+    t_hit_stripe = BlockCache::kHitStripes + 1;
+    if (stripe < BlockCache::kHitStripes) {
+      g_leased_stripes.fetch_and(~(std::uint64_t{1} << stripe),
+                                 std::memory_order_release);
+    }
+  }
+};
+
+static_assert(BlockCache::kHitStripes == 64,
+              "one bit of g_leased_stripes per stripe");
+
+}  // namespace
+
+std::uint32_t lease_hit_stripe() noexcept {
+  thread_local StripeLease lease;
+  t_hit_stripe = lease.stripe + 1;
+  return t_hit_stripe;
+}
+
+}  // namespace detail
+
 BlockCache::BlockCache(std::string path, std::uint64_t file_bytes,
                        const BlockCacheOptions& opts)
     : path_(std::move(path)),
@@ -54,6 +103,13 @@ BlockCache::BlockCache(std::string path, std::uint64_t file_bytes,
   if (file_bytes_ == 0) fail("empty file: " + path_);
 
   const std::size_t shards = opts.shards == 0 ? 1 : opts.shards;
+  // shard_of() multiplies by a reciprocal that is exact only for blocks
+  // and shard counts below 2^32; the frame-count check below refuses 2^32
+  // shards or more.
+  if (num_blocks_ > (std::uint64_t{1} << 32)) {
+    fail("file has more than 2^32 blocks; use larger blocks");
+  }
+  shard_reciprocal_ = ~std::uint64_t{0} / shards + 1;
   // The budget is a target, floored at two frames per shard so a pin plus a
   // concurrent miss can always coexist; never more frames than blocks.
   // Both divisions round up: a budget covering the whole file must yield a
@@ -69,17 +125,33 @@ BlockCache::BlockCache(std::string path, std::uint64_t file_bytes,
   if (per_shard > cap) per_shard = static_cast<std::size_t>(cap);
   if (per_shard == 0) per_shard = 1;
   // Frame indices are 32-bit in the frame table; kNotCached is the sentinel.
-  if (per_shard >= kNotCached) fail("budget holds too many frames per shard");
-
-  shards_ = std::vector<Shard>(shards);
-  for (Shard& sh : shards_) {
-    LockGuard<Mutex> lk(sh.mutex);
-    sh.table.assign(static_cast<std::size_t>(cap), kNotCached);
-    sh.frames.resize(per_shard);
-    sh.free.reserve(per_shard);
-    for (std::size_t i = per_shard; i > 0; --i) sh.free.push_back(i - 1);
+  if (per_shard >= kNotCached / shards) {
+    fail("budget holds too many frames");
   }
   frames_total_ = per_shard * shards;
+
+  // Sized once: readers that skip the shard lock index these arrays, so
+  // they never move.
+  table_slots_ = static_cast<std::size_t>(cap) * shards;
+  table_ = std::make_unique<std::atomic<std::uint32_t>[]>(table_slots_);
+  for (std::size_t i = 0; i < table_slots_; ++i) {
+    table_[i].store(kNotCached, std::memory_order_relaxed);
+  }
+  frames_ = std::make_unique<Frame[]>(frames_total_);
+  hit_stripes_ =
+      std::make_unique<Padded<std::atomic<std::uint64_t>>[]>(kHitStripes + 1);
+
+  shards_ = std::vector<Shard>(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    Shard& sh = shards_[s];
+    LockGuard<Mutex> lk(sh.mutex);
+    sh.first_frame = static_cast<std::uint32_t>(s * per_shard);
+    sh.frames = static_cast<std::uint32_t>(per_shard);
+    sh.free.reserve(per_shard);
+    for (std::size_t i = per_shard; i > 0; --i) {
+      sh.free.push_back(sh.first_frame + static_cast<std::uint32_t>(i - 1));
+    }
+  }
 
   fd_ = ::open(path_.c_str(), O_RDONLY);
   if (fd_ < 0) {
@@ -90,14 +162,21 @@ BlockCache::BlockCache(std::string path, std::uint64_t file_bytes,
 
 BlockCache::~BlockCache() {
   if (fd_ >= 0) ::close(fd_);
+  for (std::size_t i = 0; i < frames_total_; ++i) {
+    delete[] frames_[i].bytes.load(std::memory_order_relaxed);
+  }
+  // count_hit() passed on whole batches only.
+  for (std::uint32_t s = 0; s <= kHitStripes; ++s) {
+    obs_hits_.add(hit_stripes_[s]->load(std::memory_order_relaxed) %
+                  kHitBatch);
+  }
 }
 
 std::size_t BlockCache::memory_bytes() const noexcept {
-  const std::uint64_t table_slots =
-      (num_blocks_ + shards_.size() - 1) / shards_.size() * shards_.size();
   return frames_total_ * (block_bytes_ + sizeof(Frame)) +
          shards_.size() * sizeof(Shard) +
-         static_cast<std::size_t>(table_slots) * sizeof(std::uint32_t);
+         (kHitStripes + 1) * sizeof(hit_stripes_[0]) +
+         table_slots_ * sizeof(std::uint32_t);
 }
 
 bool BlockCache::wait_for_unpin_locked(
@@ -115,26 +194,23 @@ bool BlockCache::wait_for_unpin_locked(
   return st == std::cv_status::no_timeout;
 }
 
-std::size_t BlockCache::claim_frame_locked(
+std::uint32_t BlockCache::claim_frame_locked(
     Shard& sh, bool& evicted,
     std::chrono::steady_clock::time_point& refuse_at) {
+  std::uint32_t victim = kNoFrame;
   if (!sh.free.empty()) {
-    const std::size_t idx = sh.free.back();
+    victim = sh.free.back();
     sh.free.pop_back();
-    return idx;
-  }
-  const std::size_t nf = sh.frames.size();
-  std::size_t victim = nf;  // sentinel: none found
-  if (policy_ == EvictionPolicy::kClock) {
+  } else if (policy_ == EvictionPolicy::kClock) {
     // Second chance: up to two sweeps — the first pass may only be clearing
     // reference bits, the second then finds the first unpinned clear frame.
-    for (std::size_t step = 0; step < 2 * nf; ++step) {
-      Frame& f = sh.frames[sh.hand];
-      const std::size_t idx = sh.hand;
-      sh.hand = (sh.hand + 1) % nf;
-      if (f.pins > 0 || f.loading) continue;
-      if (f.ref) {
-        f.ref = false;
+    for (std::uint32_t step = 0; step < 2 * sh.frames; ++step) {
+      const std::uint32_t idx = sh.first_frame + sh.hand;
+      Frame& f = frames_[idx];
+      sh.hand = sh.hand + 1 == sh.frames ? 0 : sh.hand + 1;
+      if (f.pins > 0 || loading(f)) continue;
+      if (f.ref.load(std::memory_order_relaxed)) {
+        f.ref.store(false, std::memory_order_relaxed);
         continue;
       }
       victim = idx;
@@ -142,16 +218,16 @@ std::size_t BlockCache::claim_frame_locked(
     }
   } else {
     std::uint64_t best = ~std::uint64_t{0};
-    for (std::size_t i = 0; i < nf; ++i) {
-      const Frame& f = sh.frames[i];
-      if (f.pins > 0 || f.loading) continue;
+    for (std::uint32_t i = 0; i < sh.frames; ++i) {
+      const Frame& f = frames_[sh.first_frame + i];
+      if (f.pins > 0 || loading(f)) continue;
       if (f.last_use <= best) {
         best = f.last_use;
-        victim = i;
+        victim = sh.first_frame + i;
       }
     }
   }
-  if (victim == nf) {
+  if (victim == kNoFrame) {
     // The caller re-runs its lookup after a wait: another thread may have
     // loaded the very block meanwhile.
     if (wait_for_unpin_locked(sh, refuse_at)) return kNoFrame;
@@ -160,27 +236,35 @@ std::size_t BlockCache::claim_frame_locked(
          "pinned (budget too small for the number of concurrently held "
          "spans)");
   }
-  Frame& f = sh.frames[victim];
-  SMPST_ASSERT(f.block != Frame::kNoBlock);
-  sh.table[f.block / shards_.size()] = kNotCached;
-  f.block = Frame::kNoBlock;
-  evicted = true;
-  ++sh.evictions;
-  obs_evictions_.add();
+  Frame& f = frames_[victim];
+  // Odd before anything else changes: a reader that sees any of the
+  // writes below, the load's included, then fails its version re-check.
+  f.version.store(f.version.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  const std::uint64_t old = f.block.load(std::memory_order_relaxed);
+  if (old != Frame::kNoBlock) {
+    table_[old].store(kNotCached, std::memory_order_relaxed);
+    evicted = true;
+    ++sh.evictions;
+    obs_evictions_.add();
+  }
   return victim;
 }
 
-void BlockCache::abandon_load(const Location& at, Frame& f) noexcept {
+void BlockCache::abandon_load(Shard& sh, std::uint64_t block,
+                              std::uint32_t frame) noexcept {
   read_errors_.fetch_add(1, std::memory_order_relaxed);
-  Shard& sh = at.shard;
   {
     LockGuard<Mutex> lk(sh.mutex);
-    sh.table[at.slot] = kNotCached;
-    f.block = Frame::kNoBlock;
-    f.loading = false;
+    Frame& f = frames_[frame];
+    table_[block].store(kNotCached, std::memory_order_relaxed);
+    f.block.store(Frame::kNoBlock, std::memory_order_relaxed);
+    f.version.store(f.version.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_release);
     f.pins = 0;
-    f.ref = false;
-    sh.free.push_back(static_cast<std::size_t>(&f - sh.frames.data()));
+    f.ref.store(false, std::memory_order_relaxed);
+    sh.free.push_back(frame);
   }
   sh.cv.notify_all();
 }
@@ -210,44 +294,66 @@ void BlockCache::read_block(std::uint64_t block, std::byte* dst) {
   }
 }
 
+std::byte* BlockCache::fill_frame(std::uint64_t block, Frame& f) {
+  std::byte* dst = f.bytes.load(std::memory_order_relaxed);
+  if (dst == nullptr) {
+    dst = new std::byte[block_bytes_];
+    f.bytes.store(dst, std::memory_order_release);
+  }
+#if SMPST_TSAN_BUILD
+  // An optimistic reader may copy this frame while it loads, with relaxed
+  // atomic loads; ThreadSanitizer sees pread's writes as plain ones, so
+  // its build reads aside and stores the words atomically.
+  std::vector<std::uint64_t> bounce(block_bytes_ / sizeof(std::uint64_t));
+  read_block(block, reinterpret_cast<std::byte*>(bounce.data()));
+  auto* words = reinterpret_cast<std::uint64_t*>(dst);
+  for (std::size_t i = 0; i < bounce.size(); ++i) {
+    std::atomic_ref<std::uint64_t>(words[i]).store(bounce[i],
+                                                   std::memory_order_relaxed);
+  }
+#else
+  read_block(block, dst);
+#endif
+  return dst;
+}
+
 const std::byte* BlockCache::pin(std::uint64_t block) {
   SMPST_ASSERT(block < num_blocks_);
-  const Location at = locate(block);
-  Shard& sh = at.shard;
+  Shard& sh = shard_of(block);
   std::chrono::steady_clock::time_point refuse_at{};
   for (;;) {
-    Frame* claimed = nullptr;
+    std::uint32_t claimed = kNoFrame;
     bool evicted = false;
     {
       LockGuard<Mutex> lk(sh.mutex);
-      const std::uint32_t cached = sh.table[at.slot];
+      const std::uint32_t cached =
+          table_[block].load(std::memory_order_relaxed);
       if (cached != kNotCached) {
-        Frame& f = sh.frames[cached];
-        if (f.loading) {
+        Frame& f = frames_[cached];
+        if (loading(f)) {
           // Another thread owns the disk read. Wait it out, then re-run the
           // whole lookup: a failed load clears the block's table entry and
           // may hand the frame to a different block entirely.
-          while (f.loading && f.block == block) sh.cv.wait(sh.mutex);
+          while (loading(f) &&
+                 f.block.load(std::memory_order_relaxed) == block) {
+            sh.cv.wait(sh.mutex);
+          }
           continue;
         }
         ++f.pins;
-        f.ref = true;
+        f.ref.store(true, std::memory_order_relaxed);
         f.last_use = ++sh.tick;
-        ++sh.hits;
-        obs_hits_.add();
-        return f.data.get();
+        count_hit();
+        return f.bytes.load(std::memory_order_relaxed);
       }
-      const std::size_t idx = claim_frame_locked(sh, evicted, refuse_at);
-      if (idx == kNoFrame) continue;
-      Frame& f = sh.frames[idx];
-      f.block = block;
-      f.loading = true;
+      claimed = claim_frame_locked(sh, evicted, refuse_at);
+      if (claimed == kNoFrame) continue;
+      Frame& f = frames_[claimed];
+      f.block.store(block, std::memory_order_relaxed);
       f.pins = 1;
-      f.ref = true;
+      f.ref.store(true, std::memory_order_relaxed);
       f.last_use = ++sh.tick;
-      if (f.data == nullptr) f.data.reset(new std::byte[block_bytes_]);
-      sh.table[at.slot] = static_cast<std::uint32_t>(idx);
-      claimed = &f;
+      table_[block].store(claimed, std::memory_order_release);
     }
 
     // Unlocked I/O window: other blocks in the shard stay pinnable while the
@@ -258,36 +364,38 @@ const std::byte* BlockCache::pin(std::uint64_t block) {
       if (evicted) SMPST_FAILPOINT("storage.cache.evict");
       SMPST_FAILPOINT("storage.block.read");
       const auto t0 = std::chrono::steady_clock::now();
-      read_block(block, claimed->data.get());
+      fill_frame(block, frames_[claimed]);
       const auto t1 = std::chrono::steady_clock::now();
       obs_read_latency_.record_ms(
           std::chrono::duration<double, std::milli>(t1 - t0).count());
     } catch (...) {
       // Counts every failed load — real pread errors and injected faults
       // alike; both take this rollback.
-      abandon_load(at, *claimed);
+      abandon_load(sh, block, claimed);
       throw;
     }
     {
       LockGuard<Mutex> lk(sh.mutex);
-      claimed->loading = false;
+      Frame& f = frames_[claimed];
+      // Even again: the frame holds the block's bytes.
+      f.version.store(f.version.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_release);
       ++sh.misses;
     }
     sh.cv.notify_all();
     obs_misses_.add();
-    return claimed->data.get();
+    return frames_[claimed].bytes.load(std::memory_order_relaxed);
   }
 }
 
 void BlockCache::unpin(std::uint64_t block) noexcept {
-  const Location at = locate(block);
-  Shard& sh = at.shard;
+  Shard& sh = shard_of(block);
   bool wake = false;
   {
     LockGuard<Mutex> lk(sh.mutex);
-    const std::uint32_t cached = sh.table[at.slot];
+    const std::uint32_t cached = table_[block].load(std::memory_order_relaxed);
     SMPST_ASSERT(cached != kNotCached);
-    Frame& f = sh.frames[cached];
+    Frame& f = frames_[cached];
     SMPST_ASSERT(f.pins > 0);
     --f.pins;
     wake = f.pins == 0 && sh.waiters > 0;
@@ -295,13 +403,21 @@ void BlockCache::unpin(std::uint64_t block) noexcept {
   if (wake) sh.cv.notify_all();
 }
 
+void BlockCache::read_words_pinned(std::uint64_t block, std::size_t at,
+                                   std::size_t words, std::uint64_t* dst) {
+  copy_words(pin(block) + at, words, dst);
+  unpin(block);
+}
+
 BlockCache::Stats BlockCache::stats() const noexcept {
   Stats s;
   for (const Shard& sh : shards_) {
     LockGuard<Mutex> lk(sh.mutex);
-    s.hits += sh.hits;
     s.misses += sh.misses;
     s.evictions += sh.evictions;
+  }
+  for (std::uint32_t i = 0; i <= kHitStripes; ++i) {
+    s.hits += hit_stripes_[i]->load(std::memory_order_relaxed);
   }
   s.read_errors = read_errors_.load(std::memory_order_relaxed);
   s.pin_refusals = pin_refusals_.load(std::memory_order_relaxed);

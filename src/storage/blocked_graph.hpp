@@ -5,12 +5,19 @@
 // is the cache budget (plus per-frame metadata), not the graph size. That is
 // exactly the figure memory_bytes() reports and the GraphRegistry charges.
 //
-// neighbors(v) returns a NeighborSpan: when v's slice lies inside one cache
-// block (the common case for any realistic block size) the span is zero-copy
-// — it holds a pin on that block and points into the frame, released on
-// destruction. A slice crossing block boundaries is copied into the span's
-// owned buffer block-by-block, so at most one pin is held at a time and the
-// cache can make progress with as few as two frames per shard.
+// Reads go through BlockCache::read_words(), which a CLOCK cache serves
+// without its shard lock when the block is cached: the offsets pair of
+// degree(v) and neighbors(v), and any neighbour slice of at most
+// kShortSliceTargets targets (one cache line) that lies inside one block.
+// Such a slice is copied into a per-thread buffer that stays valid until
+// the thread's next neighbors() call. A longer slice inside one block is
+// zero-copy: the span holds a pin on the block and points into its frame,
+// released on destruction. A slice crossing block boundaries is copied into
+// the span's owned buffer block-by-block. Either way a thread holds at most
+// one pin at a time, so the cache makes progress with two frames per shard.
+//
+// One live span per thread: a thread destroys its span before its next
+// neighbors() call (Debug builds assert it), as every kernel loop does.
 //
 // Thread safety: const access from any number of threads concurrently (the
 // BlockCache does its own sharded locking); that is what lets the traversal
@@ -30,9 +37,17 @@
 
 namespace smpst::storage {
 
-/// Neighbour slice of one vertex, backed by a pinned cache block (zero-copy)
-/// or an owned copy when the slice crosses blocks. Move-only: the pin
-/// travels with the span and is released exactly once.
+#ifndef NDEBUG
+namespace detail {
+/// Debug builds: this thread holds a span into its short-slice buffer.
+inline thread_local bool t_short_span_live = false;
+}  // namespace detail
+#endif
+
+/// Neighbour slice of one vertex: a copy in the thread's short-slice
+/// buffer, a pinned cache block (zero-copy), or an owned copy when the slice
+/// crosses blocks. Move-only: the pin travels with the span and is released
+/// exactly once.
 class NeighborSpan {
  public:
   using value_type = VertexId;
@@ -43,7 +58,11 @@ class NeighborSpan {
         block_(o.block_),
         data_(std::exchange(o.data_, nullptr)),
         size_(std::exchange(o.size_, 0)),
-        owned_(std::move(o.owned_)) {}
+        owned_(std::move(o.owned_)) {
+#ifndef NDEBUG
+    short_ = std::exchange(o.short_, false);
+#endif
+  }
   NeighborSpan& operator=(NeighborSpan&& o) noexcept {
     if (this != &o) {
       release();
@@ -52,6 +71,9 @@ class NeighborSpan {
       data_ = std::exchange(o.data_, nullptr);
       size_ = std::exchange(o.size_, 0);
       owned_ = std::move(o.owned_);
+#ifndef NDEBUG
+      short_ = std::exchange(o.short_, false);
+#endif
     }
     return *this;
   }
@@ -74,6 +96,10 @@ class NeighborSpan {
       cache_->unpin(block_);
       cache_ = nullptr;
     }
+#ifndef NDEBUG
+    if (short_) detail::t_short_span_live = false;
+    short_ = false;
+#endif
   }
 
   BlockCache* cache_ = nullptr;  // non-null: span holds a pin on block_
@@ -81,6 +107,9 @@ class NeighborSpan {
   const VertexId* data_ = nullptr;
   std::size_t size_ = 0;
   std::vector<VertexId> owned_;  // multi-block slices copy here
+#ifndef NDEBUG
+  bool short_ = false;  // data_ points into the short-slice buffer
+#endif
 };
 
 class BlockedGraph {
@@ -98,13 +127,17 @@ class BlockedGraph {
   }
   [[nodiscard]] EdgeId num_arcs() const noexcept { return header_.num_arcs; }
 
-  /// Degree from the two bounding offsets: one pin, two when they straddle a
-  /// block. Throws StorageError on I/O failure.
+  /// Slices of at most this many targets (64 bytes) inside one block are
+  /// copied into the thread's short-slice buffer.
+  static constexpr std::size_t kShortSliceTargets = 16;
+
+  /// Degree from the two bounding offsets: one block read, two when they
+  /// straddle a block. Throws StorageError on I/O failure.
   [[nodiscard]] EdgeId degree(VertexId v) const;
 
-  /// Sorted neighbour slice of v: one pin for the offsets (as degree()),
-  /// then one for the targets unless v is isolated. See the class comment
-  /// for the pin the span holds.
+  /// Sorted neighbour slice of v: the offsets (as degree()), then one block
+  /// read per block of the targets unless v is isolated. See the file
+  /// comment for what the span points into.
   [[nodiscard]] NeighborSpan neighbors(VertexId v) const;
 
   /// Bytes this graph is charged against a registry budget: the block-cache
@@ -127,7 +160,7 @@ class BlockedGraph {
   }
 
  private:
-  /// offsets[v] and offsets[v + 1], read under one pin unless the pair
+  /// offsets[v] and offsets[v + 1], one block read unless the pair
   /// straddles a block (1 vertex in block_bytes / 8).
   [[nodiscard]] std::pair<EdgeId, EdgeId> offset_pair(VertexId v) const;
 

@@ -20,6 +20,7 @@
 #include "storage/csr_file.hpp"
 #include "support/failpoint.hpp"
 #include "support/prng.hpp"
+#include "temp_file.hpp"
 
 namespace smpst {
 namespace {
@@ -313,9 +314,7 @@ TEST(BaderCong, WorkerExceptionsReachCaller) {
   // can never drain and the two survivors stay below the starvation
   // threshold: without the stop flag they would wait forever.
   const Graph g = gen::make_family("random-nlogn", 4096, 5);
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) / "smpst_bc_failure.csr")
-          .string();
+  const std::string path = testing_util::temp_file("smpst_bc_failure");
   storage::write_csr_file(g, path);
   storage::BlockCacheOptions copts;
   copts.block_bytes = 64;

@@ -7,6 +7,7 @@
 #include <string>
 #include <system_error>
 #include <tuple>
+#include <vector>
 
 #include "cc/connected_components.hpp"
 #include "core/bfs.hpp"
@@ -22,6 +23,7 @@
 #include "storage/blocked_graph.hpp"
 #include "storage/csr_file.hpp"
 #include "support/failpoint.hpp"
+#include "temp_file.hpp"
 
 namespace smpst {
 namespace {
@@ -158,27 +160,41 @@ TEST_F(ParallelBfsFailure, ThrownLevelFailpointReachesCaller) {
 }
 
 TEST_F(ParallelBfsFailure, StorageErrorsReachCaller) {
-  const Graph chain = gen::chain(2000);
+  // A chain whose end vertices have 17 more neighbours each: their slices
+  // are longer than BlockedGraph copies, so each span pins its block.
+  constexpr VertexId kN = 2000;
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v + 1 < kN; ++v) edges.push_back({v, v + 1});
+  for (VertexId k = 2; k < 19; ++k) {
+    edges.push_back({0, k});
+    edges.push_back({kN - 1, kN - 1 - k});
+  }
+  const Graph chain = GraphBuilder::from_edges(kN, std::move(edges));
   const Graph wide = gen::make_family("random-nlogn", 2048, 3);
-  const auto dir = std::filesystem::path(::testing::TempDir());
-  const std::string chain_path = (dir / "smpst_pbfs_chain.csr").string();
-  const std::string wide_path = (dir / "smpst_pbfs_wide.csr").string();
+  const std::string chain_path = testing_util::temp_file("smpst_pbfs_chain");
+  const std::string wide_path = testing_util::temp_file("smpst_pbfs_wide");
   storage::write_csr_file(chain, chain_path);
   storage::write_csr_file(wide, wide_path);
   storage::BlockCacheOptions copts;
-  copts.block_bytes = 64;
-  copts.budget_bytes = 2 * 64;  // the floor: two frames in one shard
+  copts.block_bytes = 4096;
+  copts.budget_bytes = 2 * 4096;  // the floor: two frames in one shard
   copts.shards = 1;
   const storage::BlockedGraph starved(chain_path, copts);
+  const auto slice_block = [&](VertexId v, std::uint64_t end) {
+    const std::uint64_t at = chain.offsets()[v + end] * sizeof(VertexId);
+    return (starved.header().targets_pos + at - end) / copts.block_bytes;
+  };
+  for (const VertexId hub : {VertexId{0}, kN - 1}) {
+    ASSERT_GT(chain.degree(hub), storage::BlockedGraph::kShortSliceTargets);
+    ASSERT_EQ(slice_block(hub, 0), slice_block(hub, 1));
+  }
   ThreadPool pool(4);
   {
-    // The chain's end vertices have one neighbour each, so their slices are
-    // zero-copy pins on two distinct blocks; while they are held, nothing
+    // The two spans pin two distinct blocks; while they are held, nothing
     // else can be paged in.
     const auto first = starved.neighbors(0);
-    const auto last = starved.neighbors(chain.num_vertices() - 1);
-    ASSERT_THROW((void)starved.degree(chain.num_vertices() / 2),
-                 storage::StorageError);
+    const auto last = starved.neighbors(kN - 1);
+    ASSERT_THROW((void)starved.degree(kN / 2), storage::StorageError);
     EXPECT_THROW(
         parallel_bfs_spanning_tree(starved, pool, ParallelBfsOptions{}),
         storage::StorageError);
@@ -190,6 +206,7 @@ TEST_F(ParallelBfsFailure, StorageErrorsReachCaller) {
   // Warm every block worker 0 reads while planning (all offsets, and the
   // root's slice for the thin first level), so the first read fault lands on
   // a worker expanding the group's first push level.
+  copts.block_bytes = 64;
   copts.budget_bytes = std::size_t{1} << 20;
   const storage::BlockedGraph paged(wide_path, copts);
   for (VertexId v = 0; v < wide.num_vertices(); ++v) (void)paged.degree(v);

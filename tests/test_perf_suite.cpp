@@ -337,38 +337,39 @@ TEST(PerfSuite, StorageSweepCliFlags) {
   EXPECT_EQ(cfg.storage_block_bytes, 4096u);
 }
 
-// Cache pins one sequential BFS takes over a BlockedGraph of `g` with
+// Block reads one sequential BFS takes over a BlockedGraph of `g` with
 // `block`-byte blocks, from the file layout alone: each vertex is expanded
-// once, and neighbors(v) pins the offset pair's block (two when the pair
+// once, and neighbors(v) reads the offset pair's block (two when the pair
 // straddles a boundary), then each block its target slice touches.
-std::uint64_t pins_per_bfs(const Graph& g, std::uint64_t block) {
+std::uint64_t reads_per_bfs(const Graph& g, std::uint64_t block) {
   const std::uint64_t n = g.num_vertices();
   const std::uint64_t targets_pos =
       storage::kCsrHeaderBytes + sizeof(EdgeId) * (n + 1);
-  std::uint64_t pins = 0;
+  std::uint64_t reads = 0;
   for (std::uint64_t v = 0; v < n; ++v) {
     const std::uint64_t at = storage::kCsrHeaderBytes + sizeof(EdgeId) * v;
-    pins += at / block == (at + 2 * sizeof(EdgeId) - 1) / block ? 1 : 2;
+    reads += at / block == (at + 2 * sizeof(EdgeId) - 1) / block ? 1 : 2;
     const std::uint64_t lo = g.offsets()[v];
     const std::uint64_t hi = g.offsets()[v + 1];
     if (lo == hi) continue;
-    pins += (targets_pos + sizeof(VertexId) * hi - 1) / block -
-            (targets_pos + sizeof(VertexId) * lo) / block + 1;
+    reads += (targets_pos + sizeof(VertexId) * hi - 1) / block -
+             (targets_pos + sizeof(VertexId) * lo) / block + 1;
   }
-  return pins;
+  return reads;
 }
 
 // The blocked-backend sweep: one PerfStorageRun per budget percentage, all
 // slowdowns finite and positive, the 100% run at least as cache-friendly as
 // the starved run, and the emitted JSON (with the additive "storage"
-// section) still strictly valid. The counts cover the timed repeats alone
-// (no warm-up, no validation pass): exactly `repeats` BFS runs' pins, about
-// two per vertex.
+// section) still strictly valid. The counts cover the timed BFS repeats
+// alone (no warm-up, no validation pass, no Bader–Cong): exactly `repeats`
+// BFS runs' block reads, about two per vertex. Bader–Cong is timed at the
+// largest thread count beside them.
 TEST(PerfSuite, StorageSweepReportsHitRatePerBudget) {
   PerfSuiteConfig cfg;
   cfg.families = {"random-nlogn"};
   cfg.n = 2048;
-  cfg.threads = {1};
+  cfg.threads = {1, 2};
   cfg.repeats = 2;
   cfg.seed = 5;
   cfg.run_sv = false;
@@ -405,15 +406,19 @@ TEST(PerfSuite, StorageSweepReportsHitRatePerBudget) {
 
   const Graph g = gen::make_family("random-nlogn", cfg.n, cfg.seed);
   ASSERT_EQ(fam.n, g.num_vertices());
-  const std::uint64_t per_bfs = pins_per_bfs(g, cfg.storage_block_bytes);
+  const std::uint64_t per_bfs = reads_per_bfs(g, cfg.storage_block_bytes);
   for (const auto& srun : fam.storage) {
     EXPECT_EQ(srun.timing.repetitions, cfg.repeats);
     EXPECT_EQ(srun.hits + srun.misses, cfg.repeats * per_bfs);
-    EXPECT_DOUBLE_EQ(srun.pins_per_vertex,
+    EXPECT_DOUBLE_EQ(srun.reads_per_vertex,
                      static_cast<double>(per_bfs) /
                          static_cast<double>(g.num_vertices()));
-    EXPECT_GE(srun.pins_per_vertex, 2.0);
-    EXPECT_LT(srun.pins_per_vertex, 2.5);
+    EXPECT_GE(srun.reads_per_vertex, 2.0);
+    EXPECT_LT(srun.reads_per_vertex, 2.5);
+    EXPECT_EQ(srun.bader_cong_p, 2u);
+    EXPECT_EQ(srun.bader_cong.repetitions, cfg.repeats);
+    EXPECT_GT(srun.bader_cong_slowdown_vs_resident, 0.0);
+    EXPECT_TRUE(std::isfinite(srun.bader_cong_slowdown_vs_resident));
   }
 
   std::ostringstream json;
@@ -422,7 +427,9 @@ TEST(PerfSuite, StorageSweepReportsHitRatePerBudget) {
   EXPECT_TRUE(JsonChecker(doc).valid()) << doc;
   EXPECT_NE(doc.find("\"storage\": ["), std::string::npos);
   EXPECT_NE(doc.find("\"hit_rate\""), std::string::npos);
-  EXPECT_NE(doc.find("\"pins_per_vertex\""), std::string::npos);
+  EXPECT_NE(doc.find("\"reads_per_vertex\""), std::string::npos);
+  EXPECT_NE(doc.find("\"bader_cong_slowdown_vs_resident\""),
+            std::string::npos);
 }
 
 // A payload that is a whole number of blocks leaves the 64-byte header one

@@ -19,6 +19,7 @@
 #include "storage/blocked_graph.hpp"
 #include "storage/csr_file.hpp"
 #include "support/prng.hpp"
+#include "temp_file.hpp"
 
 namespace smpst {
 namespace {
@@ -181,16 +182,16 @@ TEST(Fuzz, BlockedBackendForestsMatchResident) {
     const auto n = static_cast<VertexId>(64 + rng.next_bounded(600));
     const Graph g = gen::make_family(fam.name, n, rng.next());
 
-    const auto path = std::filesystem::path(::testing::TempDir()) /
-                      ("smpst_fuzz_blocked_" + std::to_string(round) + ".csr");
-    storage::write_csr_file(g, path.string());
+    const std::string path =
+        testing_util::temp_file("smpst_fuzz_blocked_" + std::to_string(round));
+    storage::write_csr_file(g, path);
     storage::BlockCacheOptions copts;
     copts.block_bytes = std::size_t{64} << rng.next_bounded(4);  // 64..512
     copts.budget_bytes = copts.block_bytes * (4 + rng.next_bounded(28));
     copts.shards = 1 + rng.next_bounded(4);
     copts.policy = rng.next_bernoulli(0.5) ? storage::EvictionPolicy::kClock
                                            : storage::EvictionPolicy::kLru;
-    const storage::BlockedGraph bg(path.string(), copts);
+    const storage::BlockedGraph bg(path, copts);
 
     RunOptions run;
     run.seed = rng.next();

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "ablation_barriers.hpp"
 #include "core/steal_policy.hpp"
 #include "sched/barrier.hpp"
 #include "sched/spinlock.hpp"

@@ -20,6 +20,7 @@
 #include "graph/stats.hpp"
 #include "storage/blocked_graph.hpp"
 #include "storage/csr_file.hpp"
+#include "temp_file.hpp"
 
 namespace smpst {
 namespace {
@@ -97,13 +98,12 @@ void expect_textbook_forest(const Graph& g, VertexId source,
   const auto want = textbook_bfs_parents(g, source);
   EXPECT_EQ(bfs_spanning_tree(g, source).parent, want) << tag << " resident";
 
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    ("smpst_seq_bfs_" + tag + ".csr");
-  storage::write_csr_file(g, path.string());
+  const std::string path = testing_util::temp_file("smpst_seq_bfs_" + tag);
+  storage::write_csr_file(g, path);
   storage::BlockCacheOptions opts;
   opts.block_bytes = 512;
   opts.budget_bytes = 16 * 512;
-  const storage::BlockedGraph bg(path.string(), opts);
+  const storage::BlockedGraph bg(path, opts);
   EXPECT_EQ(bfs_spanning_tree(bg, source).parent, want) << tag << " blocked";
 }
 

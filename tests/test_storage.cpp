@@ -5,6 +5,7 @@
 // served end-to-end over a graph larger than its cache).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/algorithms.hpp"
+#include "core/bfs.hpp"
 #include "gen/registry.hpp"
 #include "graph/builder.hpp"
 #include "sched/thread_pool.hpp"
@@ -25,20 +27,22 @@
 #include "storage/blocked_graph.hpp"
 #include "storage/csr_file.hpp"
 #include "support/failpoint.hpp"
+#include "support/prng.hpp"
+#include "temp_file.hpp"
 
 namespace smpst::storage {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Writes `g` to a unique SMPSTCSR file under the gtest temp dir and returns
-/// the path. Files accumulate per test-process run; the OS temp dir owns
-/// cleanup, matching the repo's other file-writing tests.
+/// Writes `g` to an SMPSTCSR file under the gtest temp dir, unique per tag
+/// and process, and returns the path. Files accumulate per test-process
+/// run; the OS temp dir owns cleanup, matching the repo's other
+/// file-writing tests.
 std::string csr_path_for(const Graph& g, const std::string& tag) {
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("smpst_test_" + tag + ".csr");
-  write_csr_file(g, p.string());
-  return p.string();
+  const std::string p = testing_util::temp_file("smpst_test_" + tag);
+  write_csr_file(g, p);
+  return p;
 }
 
 Graph medium_graph(std::uint64_t seed = 1) {
@@ -101,8 +105,7 @@ TEST(CsrFile, RejectsBadMagicAndTruncation) {
   }
   EXPECT_THROW(read_csr_header(path), StorageError);
 
-  const std::string trunc =
-      (fs::path(::testing::TempDir()) / "smpst_test_trunc.csr").string();
+  const std::string trunc = testing_util::temp_file("smpst_test_trunc");
   fs::copy_file(csr_path_for(g, "trunc_src"), trunc,
                 fs::copy_options::overwrite_existing);
   fs::resize_file(trunc, fs::file_size(trunc) / 2);
@@ -360,6 +363,68 @@ TEST(BlockCache, ParsesEvictionPolicyNames) {
   EXPECT_THROW((void)parse_eviction_policy("arc"), StorageError);
 }
 
+// A lock-free copy whose frame is reassigned under it is discarded and the
+// read pins instead: one thread copies a whole 1 KiB block over and over
+// while another keeps evicting it from a two-frame shard. Every copy must
+// equal the file, and the discarded ones show up in read_retries().
+TEST(BlockCache, CopyRacingAReassignmentIsDiscarded) {
+  const Graph g = medium_graph(5);
+  const std::string path = csr_path_for(g, "retry");
+  const std::vector<char> file_bytes = file_contents(path);
+  BlockCacheOptions opts;
+  opts.block_bytes = 1024;
+  opts.budget_bytes = 1;  // floors at two frames
+  opts.shards = 1;
+  BlockCache cache(path, file_bytes.size(), opts);
+  ASSERT_GE(cache.num_blocks(), 3u);
+  constexpr std::size_t kWords = 1024 / sizeof(std::uint64_t);
+
+  std::atomic<bool> stop{false};
+  std::thread evictor([&] {
+    for (std::uint64_t b = 1; !stop.load(std::memory_order_relaxed);
+         b = b % 2 + 1) {
+      expect_block_matches(cache, b, file_bytes);
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::vector<std::uint64_t> copy(kWords);
+  std::uint64_t reads = 0;
+  while (cache.read_retries() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 64; ++i, ++reads) {
+      cache.read_words(0, 0, kWords, copy.data());
+      ASSERT_EQ(std::memcmp(copy.data(), file_bytes.data(), 1024), 0)
+          << "read " << reads;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  evictor.join();
+  EXPECT_GT(cache.read_retries(), 0u);
+  EXPECT_GT(cache.stats().evictions, 0u);
+}
+
+// The reciprocal that picks a block's shard has to agree with block % shards
+// for every shard count the wire accepts: a 100% budget then never evicts.
+TEST(BlockCache, FullBudgetNeverEvictsForAnyShardCount) {
+  const Graph g = medium_graph();
+  const std::string path = csr_path_for(g, "shard_spread");
+  const std::vector<char> file_bytes = file_contents(path);
+  for (std::size_t shards = 1; shards <= 12; ++shards) {
+    SCOPED_TRACE(shards);
+    BlockCacheOptions opts;
+    opts.block_bytes = 64;
+    opts.budget_bytes = file_bytes.size();
+    opts.shards = shards;
+    BlockCache cache(path, file_bytes.size(), opts);
+    for (std::uint64_t b = 0; b < cache.num_blocks(); ++b) {
+      expect_block_matches(cache, b, file_bytes);
+    }
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(cache.stats().misses, cache.num_blocks());
+  }
+}
+
 // ------------------------------------------------------------ blocked graph
 
 TEST(BlockedGraph, MatchesResidentAdjacencyUnderEvictionPressure) {
@@ -455,6 +520,181 @@ TEST(BlockedGraph, NeighborsPinsOffsetsOnce) {
     EXPECT_EQ(degree_pins(v), offset_pins) << "vertex " << v;
   }
   EXPECT_EQ(straddling, 2u);
+}
+
+// Four threads read random vertices through a cache of two frames per
+// shard, so blocks are evicted under the lock-free readers all the time;
+// every degree and every slice (short copies, pinned and crossing ones)
+// must equal the CSR.
+TEST(BlockedGraph, ConcurrentReadsMatchTheCsrUnderConstantEviction) {
+  const Graph g = medium_graph(17);
+  const std::string path = csr_path_for(g, "concurrent_reads");
+  BlockCacheOptions opts;
+  opts.block_bytes = 256;
+  opts.budget_bytes = 1;  // floors at two frames per shard
+  opts.shards = 2;
+  const BlockedGraph bg(path, opts);
+  constexpr int kThreads = 4;
+  constexpr int kReads = 4000;
+  std::vector<std::thread> readers;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      Xoshiro256 rng(0x5eed + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kReads; ++i) {
+        const auto v =
+            static_cast<VertexId>(rng.next_bounded(g.num_vertices()));
+        const auto want = g.neighbors(v);
+        // degree() first: a thread holding a pinned span must not pin again.
+        const EdgeId degree = bg.degree(v);
+        const NeighborSpan got = bg.neighbors(v);
+        if (degree != g.degree(v) ||
+            !std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto st = bg.cache_stats();
+  EXPECT_GT(st.evictions, 0u);
+  EXPECT_GT(st.hits, 0u);
+  EXPECT_EQ(st.pin_refusals, 0u);
+}
+
+// A slice of at most 16 targets inside one block is copied (its span holds
+// no pin and outlives its block's eviction), a longer one inside one block
+// is pinned, and one crossing a block is copied block by block. Over a
+// single two-frame shard: two pinned spans leave no frame for a third block,
+// while a pinned span beside a copied one does.
+TEST(BlockedGraph, ShortLongAndCrossingSlicesTakeTheirOwnPaths) {
+  const Graph g = medium_graph(19);
+  const std::string path = csr_path_for(g, "slice_paths");
+  constexpr std::uint64_t kBlock = 256;
+  BlockCacheOptions opts;
+  opts.block_bytes = kBlock;
+  opts.budget_bytes = 1;  // floors at two frames
+  opts.shards = 1;
+  const BlockedGraph bg(path, opts);
+  const CsrFileHeader& h = bg.header();
+  const auto first_block = [&](VertexId v) {
+    return (h.targets_pos + sizeof(VertexId) * g.offsets()[v]) / kBlock;
+  };
+  const auto last_block = [&](VertexId v) {
+    return (h.targets_pos + sizeof(VertexId) * g.offsets()[v + 1] - 1) /
+           kBlock;
+  };
+  // Vertex 0's offsets share block 0 with the header only.
+  ASSERT_LT(h.offsets_pos + 2 * sizeof(EdgeId), kBlock);
+  ASSERT_GE(h.targets_pos, kBlock);
+  VertexId short16 = kInvalidVertex;
+  VertexId crossing = kInvalidVertex;
+  std::vector<VertexId> long17;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const bool one_block = first_block(v) == last_block(v);
+    if (g.degree(v) == 16 && one_block && short16 == kInvalidVertex) {
+      short16 = v;
+    } else if (g.degree(v) == 17 && one_block &&
+               (long17.empty() || first_block(long17[0]) != first_block(v)) &&
+               long17.size() < 2) {
+      long17.push_back(v);
+    } else if (g.degree(v) > 0 && !one_block && crossing == kInvalidVertex) {
+      crossing = v;
+    }
+  }
+  ASSERT_NE(short16, kInvalidVertex);
+  ASSERT_NE(crossing, kInvalidVertex);
+  ASSERT_EQ(long17.size(), 2u);
+  ASSERT_NE(first_block(short16), first_block(long17[0]));
+  const auto matches = [&](const NeighborSpan& got, VertexId v) {
+    const auto want = g.neighbors(v);
+    return std::equal(got.begin(), got.end(), want.begin(), want.end());
+  };
+
+  {
+    const NeighborSpan a = bg.neighbors(long17[0]);
+    const NeighborSpan b = bg.neighbors(long17[1]);
+    EXPECT_THROW((void)bg.degree(0), StorageError);
+    EXPECT_TRUE(matches(a, long17[0]));
+    EXPECT_TRUE(matches(b, long17[1]));
+  }
+  {
+    const NeighborSpan a = bg.neighbors(long17[0]);
+    const NeighborSpan s = bg.neighbors(short16);
+    // Block 0 takes the frame of short16's block, which nothing pins.
+    EXPECT_EQ(bg.degree(0), g.degree(0));
+    EXPECT_TRUE(matches(a, long17[0]));
+    EXPECT_TRUE(matches(s, short16));
+  }
+  {
+    const NeighborSpan a = bg.neighbors(long17[0]);
+    const NeighborSpan c = bg.neighbors(crossing);
+    EXPECT_EQ(bg.degree(0), g.degree(0));
+    EXPECT_TRUE(matches(a, long17[0]));
+    EXPECT_TRUE(matches(c, crossing));
+  }
+  EXPECT_EQ(bg.cache_stats().pin_refusals, 1u);
+}
+
+// Debug builds assert the one-live-span rule: a short-slice span points into
+// the thread's buffer, which the next neighbors() call overwrites.
+TEST(BlockedGraphDeathTest, NeighborsWhileAShortSpanLivesAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "SMPST_ASSERT is compiled out of this build";
+#else
+  const Graph g = medium_graph();
+  const std::string path = csr_path_for(g, "live_span");
+  const BlockedGraph bg(path);
+  VertexId v = 0;
+  while (g.degree(v) == 0 || g.degree(v) > BlockedGraph::kShortSliceTargets) {
+    ++v;
+  }
+  EXPECT_DEATH(
+      {
+        const NeighborSpan held = bg.neighbors(v);
+        (void)bg.neighbors(v);
+      },
+      "t_short_span_live");
+#endif
+}
+
+// One thread, an evicting CLOCK cache: hits + misses over a whole BFS equal
+// the block reads the file layout implies (every vertex's offsets and
+// slice are read once), whether a read was served without the lock or
+// pinned.
+TEST(BlockedGraph, HitsPlusMissesCountEveryBlockRead) {
+  const Graph g = medium_graph(23);
+  const std::string path = csr_path_for(g, "read_count");
+  constexpr std::uint64_t kBlock = 256;
+  for (const std::uint64_t budget : {std::uint64_t{8}, std::uint64_t{1000}}) {
+    SCOPED_TRACE(budget);
+    BlockCacheOptions opts;
+    opts.block_bytes = kBlock;
+    opts.budget_bytes = budget * kBlock;
+    opts.shards = 3;
+    const BlockedGraph bg(path, opts);
+    const CsrFileHeader& h = bg.header();
+    std::uint64_t expected = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const std::uint64_t at = h.offsets_pos + sizeof(EdgeId) * v;
+      expected += at / kBlock == (at + sizeof(EdgeId)) / kBlock ? 1 : 2;
+      const std::uint64_t lo = g.offsets()[v];
+      const std::uint64_t hi = g.offsets()[v + 1];
+      if (lo == hi) continue;
+      expected += (h.targets_pos + sizeof(VertexId) * hi - 1) / kBlock -
+                  (h.targets_pos + sizeof(VertexId) * lo) / kBlock + 1;
+    }
+    const SpanningForest forest = bfs_spanning_tree(bg);
+    const auto st = bg.cache_stats();
+    EXPECT_EQ(st.hits + st.misses, expected);
+    EXPECT_EQ(forest.parent, bfs_spanning_tree(g).parent);
+    if (budget == 8) EXPECT_GT(st.evictions, 0u);
+    if (budget == 1000) {
+      EXPECT_EQ(st.evictions, 0u);
+      EXPECT_EQ(st.misses, (h.file_bytes + kBlock - 1) / kBlock);
+    }
+  }
 }
 
 // Determinism contract: at p=1 every kernel with a blocked instantiation is

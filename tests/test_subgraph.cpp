@@ -11,7 +11,7 @@
 #include "graph/builder.hpp"
 #include "graph/stats.hpp"
 #include "graph/subgraph.hpp"
-#include "sched/barrier.hpp"
+#include "ablation_barriers.hpp"
 
 namespace smpst {
 namespace {
