@@ -129,6 +129,7 @@ PerfRun measure_bader_cong(const Graph& g, ThreadPool& pool, std::size_t p,
   run.stub_s = stats.stub_seconds;
   run.traversal_s = stats.traversal_seconds;
   run.fallback_s = stats.fallback_seconds;
+  run.sv_iterations = stats.fallback_sv_iterations;
   run.tm_measured = stats.max_thread_accesses();
   run.tm_formula =
       model::bader_cong_cost(g.num_vertices(), g.num_edges(), p).mem_accesses;
@@ -159,6 +160,8 @@ PerfRun measure_parallel_bfs(const Graph& g, ThreadPool& pool, std::size_t p,
   run.speedup_vs_seq_bfs = safe_speedup(seq_median, run.timing.median_s);
   run.pull_levels = stats.pull_levels;
   run.direction_switches = stats.direction_switches;
+  run.solo_levels = stats.solo_levels;
+  run.barriers = stats.barriers;
   return run;
 }
 
@@ -532,7 +535,9 @@ void write_perf_suite_json(const PerfSuiteResult& result, std::ostream& os) {
          << "            \"sv_iterations\": " << run.sv_iterations << ",\n"
          << "            \"pull_levels\": " << run.pull_levels << ",\n"
          << "            \"direction_switches\": " << run.direction_switches
-         << "\n"
+         << ",\n"
+         << "            \"solo_levels\": " << run.solo_levels << ",\n"
+         << "            \"barriers\": " << run.barriers << "\n"
          << "          }\n"
          << "        }" << (ri + 1 < fam.runs.size() ? "," : "") << "\n";
     }

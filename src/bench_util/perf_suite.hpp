@@ -108,11 +108,14 @@ struct PerfRun {
   /// closed form model::bader_cong_cost(n, m, p).mem_accesses.
   std::uint64_t tm_measured = 0;
   double tm_formula = 0.0;
-  std::uint64_t sv_iterations = 0;  ///< SV only; zero elsewhere
+  /// SV's iterations, or those of Bader–Cong's fallback; zero elsewhere.
+  std::uint64_t sv_iterations = 0;
   // parallel_bfs columns only; zero elsewhere. pull_levels stays zero for
   // the kPushOnly column by construction.
   std::uint64_t pull_levels = 0;
   std::uint64_t direction_switches = 0;
+  std::uint64_t solo_levels = 0;  ///< levels worker 0 expanded alone
+  std::uint64_t barriers = 0;     ///< SpinBarrier episodes of one call
 };
 
 /// One blocked-backend cell of the storage sweep: sequential BFS, then

@@ -378,7 +378,8 @@ std::vector<VertexId> grow_stub_tree(TraversalState<GS>& st, VertexId start,
 /// "merge the grown spanning subtree into a super-vertex and start SV").
 template <storage::GraphStorage GS>
 SpanningForest finish_with_sv(TraversalState<GS>& st, ThreadPool& pool,
-                              const BaderCongOptions& opts) {
+                              const BaderCongOptions& opts,
+                              TraversalStats& stats) {
   const VertexId n = st.n;
   std::vector<Edge> edges;
   edges.reserve(n);
@@ -415,8 +416,12 @@ SpanningForest finish_with_sv(TraversalState<GS>& st, ThreadPool& pool,
   SvOptions sv_opts;
   sv_opts.num_threads = pool.size();
   sv_opts.cancel = opts.cancel;  // the fallback still honours the deadline
+  SvStats sv_stats;
+  sv_opts.stats = &sv_stats;
   const std::vector<Edge> sv_edges =
       sv_tree_edges(st.g, pool, std::move(labels), sv_opts);
+  stats.fallback_sv_iterations =
+      static_cast<std::uint32_t>(sv_stats.iterations);
   edges.insert(edges.end(), sv_edges.begin(), sv_edges.end());
   return orient_tree_edges(n, edges);
 }
@@ -506,7 +511,7 @@ SpanningForest bader_cong_impl(const GS& g, ThreadPool& pool,
     WallTimer fb_timer;
     {
       SMPST_TRACE_SCOPE("bc.sv_fallback");
-      forest = finish_with_sv(st, pool, opts);
+      forest = finish_with_sv(st, pool, opts, local_stats);
     }
     local_stats.fallback_seconds = fb_timer.elapsed_seconds();
   }

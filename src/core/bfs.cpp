@@ -2,16 +2,16 @@
 
 #include <memory>
 
+#include "core/fifo_bfs.hpp"
 #include "storage/blocked_graph.hpp"
 #include "storage/graph_storage.hpp"
 #include "support/assert.hpp"
-#include "support/prefetch.hpp"
 
 namespace smpst {
 
 // Templated over the storage backend (storage/graph_storage.hpp). Both
 // instantiations run one FIFO and visit in the same order, so they return
-// the same forest; only the expansion step differs (see bfs.hpp).
+// the same forest; only the expansion step (core/fifo_bfs.hpp) differs.
 template <storage::GraphStorage GS>
 SpanningForest bfs_spanning_tree(const GS& g, VertexId source,
                                  const CancelToken* cancel) {
@@ -32,7 +32,8 @@ SpanningForest bfs_spanning_tree(const GS& g, VertexId source,
   std::size_t tail = 0;
 
   // Grows the forest from `source`, then from every still-unvisited vertex
-  // in id order; `expand(v)` enqueues v's unvisited neighbours.
+  // in id order; `expand(head, tail)` dequeues one vertex and enqueues its
+  // unvisited neighbours.
   const auto grow = [&](auto expand) {
     const auto run = [&](VertexId s) {
       parent[s] = s;
@@ -41,7 +42,7 @@ SpanningForest bfs_spanning_tree(const GS& g, VertexId source,
         // Deadline poll every 4096 dequeues; the first dequeue (head == 0)
         // polls too, so a pre-expired token throws before any expansion.
         if (cancel != nullptr && (head & 0xfff) == 0) cancel->poll();
-        expand(q[head++]);
+        expand(head, tail);
       }
     };
     run(source);
@@ -49,35 +50,9 @@ SpanningForest bfs_spanning_tree(const GS& g, VertexId source,
       if (parent[v] == kInvalidVertex) run(v);
     }
   };
-
-  if constexpr (storage::is_resident_v<GS>) {
-    const EdgeId* const offsets = g.offsets().data();
-    const VertexId* const targets = g.targets().data();
-    grow([&](VertexId v) {
-      // Warm the next queued vertex's neighbour slice, and the offsets
-      // entry of the one after it, while v expands.
-      if (head < tail) prefetch_read(targets + offsets[q[head]]);
-      if (head + 1 < tail) prefetch_read(&offsets[q[head + 1]]);
-      for (EdgeId e = offsets[v], end = offsets[v + 1]; e < end; ++e) {
-        const VertexId w = targets[e];
-        if (parent[w] == kInvalidVertex) {
-          parent[w] = v;
-          q[tail++] = w;
-        }
-      }
-    });
-  } else {
-    // neighbors() pins a cache block here: a hint would be real cache or
-    // disk work, not a pointer computation.
-    grow([&](VertexId v) {
-      for (VertexId w : g.neighbors(v)) {
-        if (parent[w] == kInvalidVertex) {
-          parent[w] = v;
-          q[tail++] = w;
-        }
-      }
-    });
-  }
+  // The step goes in by value, so its CSR pointers are the loop's own
+  // locals and stay in registers across it.
+  grow(FifoBfsStep<GS>(g, parent, q));
   return forest;
 }
 

@@ -32,6 +32,9 @@ struct TraversalStats {
   double traversal_seconds = 0.0;
   double fallback_seconds = 0.0;
   bool fallback_triggered = false;
+  /// Shiloach–Vishkin iterations of the starvation fallback (0 when it did
+  /// not run). 32 bits keep the struct's layout: it fills padding.
+  std::uint32_t fallback_sv_iterations = 0;
 
   std::uint64_t stub_vertices = 0;
 

@@ -5,7 +5,10 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <span>
+#include <vector>
 
+#include "core/fifo_bfs.hpp"
 #include "obs/trace.hpp"
 #include "sched/barrier.hpp"
 #include "sched/thread_pool.hpp"
@@ -39,52 +42,65 @@ constexpr double kBeta = 18.0;
 /// a whole-shard scan.
 constexpr std::uint64_t kPullMinFrontierEdges = 1024;
 
+/// The vertex-count bar of the pull direction; below it choose_pull never
+/// reads the frontier's edge count.
+bool frontier_big(std::uint64_t frontier_vertices, std::uint64_t n) {
+  return static_cast<double>(frontier_vertices) * kBeta >=
+         static_cast<double>(n);
+}
+
 /// What worker 0 planned for the level the whole group expands next.
 enum class LevelKind : std::uint8_t { kPush, kPull, kStop };
 
-/// parent is a PLAIN array (support/race.hpp). In push levels the load that
-/// pre-screens the CAS claim is the intended benign race — stale values only
-/// cost a wasted CAS or skip a vertex another thread already owns — while the
-/// claim itself goes through race_cas(), a real CAS in every build, because
-/// the exactly-one-parent invariant is load-bearing. In pull levels parent is
-/// ownership-partitioned (only the shard owner reads or writes its vertices),
-/// so there is no race at all; the accesses still go through the wrappers so
-/// the whole array carries one auditable annotation discipline.
+/// What worker t fills in a group level: the vertices it discovers, which
+/// become its piece of the next frontier, and two edge counts.
+struct WorkerSlot {
+  std::vector<VertexId> found;
+  std::uint64_t scanned = 0;      ///< edges this worker's push grains scanned
+  std::uint64_t found_edges = 0;  ///< degree sum of found
+};
+
+/// Worker t's piece of the frontier the group expands: it holds the
+/// vertices at indices [start, next piece's start) of the pieces'
+/// concatenation.
+struct Piece {
+  const VertexId* first = nullptr;
+  std::size_t start = 0;
+};
+
+/// parent is the result forest's array, PLAIN memory (support/race.hpp). In
+/// push levels the load that pre-screens the CAS claim is the intended benign
+/// race — stale values only cost a wasted CAS or skip a vertex another thread
+/// already owns — while the claim itself goes through race_cas(), a real CAS
+/// in every build, because the exactly-one-parent invariant is load-bearing.
+/// In pull levels parent is ownership-partitioned (only the shard owner reads
+/// or writes its vertices), so they do not race at all; the accesses still
+/// go through the wrappers so the whole array carries one auditable
+/// annotation discipline. Worker 0's solo levels run while every other
+/// worker waits at the barrier and use the sequential BFS's plain step.
 template <storage::GraphStorage GS>
 struct BfsState {
-  explicit BfsState(const GS& graph, std::size_t p_)
-      // Uninitialized allocations on purpose (no make_unique, which would
-      // zero-fill and thereby first-touch every page on the calling thread):
-      // first_touch_init() faults each shard in from its owning worker, so a
-      // pinned multi-node pool serves each shard from local memory.
+  /// `forest_parent` holds n entries, which the caller has filled with
+  /// kInvalidVertex.
+  BfsState(const GS& graph, std::size_t p_, std::size_t grain_,
+           VertexId* forest_parent)
       : g(graph),
         n(graph.num_vertices()),
         p(p_),
-        parent(new VertexId[n]),
-        in_cur_frontier(new std::uint8_t[n]),
-        buffers(p),
-        barrier(p) {}
+        grain(grain_),
+        parent(forest_parent),
+        pieces(p_ + 1),
+        slots(2 * p_),
+        barrier(p_) {}
 
   /// Contiguous vertex-ownership shards; worker t owns
-  /// [shard_lo(t), shard_hi(t)) for first touch and for pull scans.
+  /// [shard_lo(t), shard_hi(t)) for pull scans.
   [[nodiscard]] VertexId shard_lo(std::size_t tid) const noexcept {
     return static_cast<VertexId>(static_cast<std::uint64_t>(n) * tid / p);
   }
   [[nodiscard]] VertexId shard_hi(std::size_t tid) const noexcept {
     return static_cast<VertexId>(static_cast<std::uint64_t>(n) * (tid + 1) /
                                  p);
-  }
-
-  void first_touch_init(ThreadPool& pool) {
-    pool.run([&](std::size_t tid) {
-      SMPST_TRACE_SCOPE("pbfs.first_touch");
-      const VertexId lo = shard_lo(tid);
-      const VertexId hi = shard_hi(tid);
-      for (VertexId v = lo; v < hi; ++v) {
-        SMPST_BENIGN_RACE_STORE(parent[v], kInvalidVertex);
-        in_cur_frontier[v] = 0;
-      }
-    });
   }
 
   /// Called from a catch block: keeps the first exception of any worker.
@@ -99,15 +115,31 @@ struct BfsState {
   const GS& g;
   const VertexId n;
   const std::size_t p;
-  std::unique_ptr<VertexId[]> parent;
-  /// Frontier-membership flags consulted by pull levels. Written (phase A)
-  /// and cleared (phase C) by frontier-slice owners, read by everyone in the
-  /// scan phase between them; the in-region barriers separate the phases, so
+  const std::size_t grain;  ///< frontier vertices per cursor grab
+  VertexId* const parent;
+  /// Frontier-membership flags consulted by pull levels, allocated
+  /// zero-filled by worker 0 when it plans the first one. Written (phase A)
+  /// and cleared (phase C) by piece owners, read by everyone in the scan
+  /// phase between them; the in-region barriers separate the phases, so
   /// every access is race-free.
   std::unique_ptr<std::uint8_t[]> in_cur_frontier;
 
-  std::vector<VertexId> frontier;
-  std::vector<Padded<std::vector<VertexId>>> buffers;  // next-frontier pieces
+  [[nodiscard]] WorkerSlot& slot(std::size_t tid) {
+    return *slots[out * p + tid];
+  }
+  [[nodiscard]] std::span<const VertexId> piece(std::size_t tid) const {
+    return {pieces[tid].first, pieces[tid + 1].start - pieces[tid].start};
+  }
+
+  /// The frontier of the level the group expands, as p pieces; pieces[p]
+  /// only marks the end (its start is the frontier's size). Written by
+  /// worker 0 while it plans.
+  std::vector<Piece> pieces;
+  /// Two sets of p slots; worker t fills slot(t). Worker 0 flips `out`
+  /// when it takes the filled set's discoveries as the next frontier, so
+  /// the buffers being expanded are never the ones being written.
+  std::vector<Padded<WorkerSlot>> slots;
+  unsigned out = 0;
   std::atomic<std::size_t> cursor{0};
   SpinBarrier barrier;
   /// Written by worker 0 before the barrier episode that publishes it and
@@ -119,25 +151,29 @@ struct BfsState {
   std::exception_ptr error;
 };
 
-/// Push expansion: grab frontier grains from the shared cursor, CAS-claim
-/// unvisited neighbours.
+/// Push expansion: grab grains of the frontier's concatenated pieces from
+/// the shared cursor, CAS-claim unvisited neighbours.
 template <storage::GraphStorage GS>
-void expand_level_push(BfsState<GS>& st, std::size_t tid, std::size_t grain) {
+void expand_level_push(BfsState<GS>& st, WorkerSlot& slot) {
   SMPST_TRACE_SCOPE("pbfs.push");
-  auto& out = *st.buffers[tid];
+  auto& out = slot.found;
+  const std::size_t size = st.pieces[st.p].start;
+  std::uint64_t scanned = 0;
+  std::size_t k = 0;  // the piece holding index i; grains only move forward
   for (;;) {
-    const std::size_t begin =
-        st.cursor.fetch_add(grain, std::memory_order_relaxed);
-    if (begin >= st.frontier.size()) break;
-    const std::size_t end = std::min(begin + grain, st.frontier.size());
-    for (std::size_t i = begin; i < end; ++i) {
-      const VertexId v = st.frontier[i];
-      for (VertexId w : st.g.neighbors(v)) {
+    std::size_t i = st.cursor.fetch_add(st.grain, std::memory_order_relaxed);
+    if (i >= size) break;
+    for (const std::size_t end = std::min(i + st.grain, size); i < end; ++i) {
+      while (st.pieces[k + 1].start <= i) ++k;
+      const VertexId v = st.pieces[k].first[i - st.pieces[k].start];
+      const auto nbrs = st.g.neighbors(v);
+      scanned += nbrs.size();
+      for (VertexId w : nbrs) {
         VertexId expected = kInvalidVertex;
         // Benign racy pre-check, then a CAS claim: exactly one parent per
         // vertex, no duplicates in the next frontier. Relaxed suffices: the
-        // winner publishes w only through its own buffer, which worker 0
-        // reads after the level's closing barrier.
+        // winner publishes w only through its own buffer, which the others
+        // read after the level's closing barrier.
         if (SMPST_BENIGN_RACE_LOAD(st.parent[w]) == kInvalidVertex &&
             race_cas(st.parent[w], expected, v, std::memory_order_relaxed,
                      std::memory_order_relaxed)) {
@@ -146,10 +182,11 @@ void expand_level_push(BfsState<GS>& st, std::size_t tid, std::size_t grain) {
       }
     }
   }
+  slot.scanned = scanned;
 }
 
 /// Pull expansion, three barrier-separated phases:
-///   A. each worker flags its index slice of the frontier vector;
+///   A. each worker flags the vertices of its frontier piece;
 ///   B. each worker scans its owned vertex shard, attaching every unvisited
 ///      vertex to its first flagged neighbour (early exit);
 ///   C. each worker clears the flags it set in A, leaving the array
@@ -161,16 +198,12 @@ void expand_level_push(BfsState<GS>& st, std::size_t tid, std::size_t grain) {
 template <storage::GraphStorage GS>
 void expand_level_pull(BfsState<GS>& st, std::size_t tid) {
   SMPST_TRACE_SCOPE("pbfs.pull");
-  const std::size_t fsz = st.frontier.size();
-  const std::size_t flo = fsz * tid / st.p;
-  const std::size_t fhi = fsz * (tid + 1) / st.p;
-  for (std::size_t i = flo; i < fhi; ++i) {
-    st.in_cur_frontier[st.frontier[i]] = 1;
-  }
+  const std::span<const VertexId> mine = st.piece(tid);
+  for (const VertexId v : mine) st.in_cur_frontier[v] = 1;
   st.barrier.arrive_and_wait();
 
   try {
-    auto& out = *st.buffers[tid];
+    auto& out = st.slot(tid).found;
     const VertexId lo = st.shard_lo(tid);
     const VertexId hi = st.shard_hi(tid);
     for (VertexId v = lo; v < hi; ++v) {
@@ -188,9 +221,7 @@ void expand_level_pull(BfsState<GS>& st, std::size_t tid) {
   }
   st.barrier.arrive_and_wait();
 
-  for (std::size_t i = flo; i < fhi; ++i) {
-    st.in_cur_frontier[st.frontier[i]] = 0;
-  }
+  for (const VertexId v : mine) st.in_cur_frontier[v] = 0;
 }
 
 /// Direction decision for the level about to be expanded. A pull level costs
@@ -210,36 +241,40 @@ bool choose_pull(const ParallelBfsOptions& opts, bool was_pull,
                  std::uint64_t frontier_edges, std::uint64_t unexplored_edges,
                  std::uint64_t n) {
   if (opts.direction == BfsDirection::kPushOnly) return false;
-  const bool frontier_big =
-      static_cast<double>(frontier_vertices) * kBeta >= static_cast<double>(n);
-  if (was_pull) return frontier_big;
-  return frontier_big && frontier_edges >= kPullMinFrontierEdges &&
+  const bool big = frontier_big(frontier_vertices, n);
+  if (was_pull) return big;
+  return big && frontier_edges >= kPullMinFrontierEdges &&
          static_cast<double>(frontier_edges) * kAlpha >
              static_cast<double>(unexplored_edges);
 }
 
 /// Worker 0's side of the level loop. It runs while every other worker waits
-/// at the barrier, so it alone touches parent, the frontier and the buffers;
-/// the barrier orders its accesses against the expansions. It walks the
-/// components in vertex order (like the sequential baseline), polls
-/// cancellation, chooses each level's direction and gathers the next
-/// frontier. A push level of at most grain * p vertices it expands by
-/// itself: on a thin frontier one thread's work is cheaper than two barrier
-/// episodes.
+/// at the barrier, so it alone touches parent and the frontier; the barrier
+/// orders its accesses against the expansions. It walks the components in
+/// vertex order (like the sequential baseline), polls cancellation and
+/// chooses each level's direction.
+///
+/// While the frontier is a push level of at most grain * p vertices, worker
+/// 0 expands the levels itself, as one FIFO run like bfs_spanning_tree: a
+/// plain check-then-set per edge, the next vertex's neighbour slice
+/// prefetched, and level boundaries kept as queue indices. On a thin
+/// frontier one thread's work is cheaper than two barrier episodes. The run
+/// hands the first wider (or pull) level to the group.
 template <storage::GraphStorage GS>
 class LevelPlanner {
  public:
   LevelPlanner(BfsState<GS>& st, const ParallelBfsOptions& opts,
-               std::size_t grain, ParallelBfsStats& stats)
+               ParallelBfsStats& stats)
       : st_(st),
         opts_(opts),
-        grain_(grain),
+        solo_max_(st.grain * st.p),
         stats_(stats),
+        queue_(std::make_unique_for_overwrite<VertexId[]>(st.n)),
         unexplored_edges_(st.g.num_arcs()) {}
 
   /// The next level the whole group expands, or kStop once every component
   /// is spanned or any worker has failed. A throw while planning (the cancel
-  /// poll, the failpoint, a storage error in a thin level) is recorded and
+  /// poll, the failpoint, a storage error in a solo level) is recorded and
   /// also ends in kStop.
   LevelKind next_level() noexcept {
     SMPST_TRACE_SCOPE("pbfs.plan");
@@ -254,18 +289,18 @@ class LevelPlanner {
 
  private:
   LevelKind plan() {
-    finish_level();  // a no-op before the first level
+    if (group_level_) take_group_level();
     for (;;) {
-      if (st_.frontier.empty() && !start_component()) return LevelKind::kStop;
+      if (frontier_size_ == 0 && !start_component()) return LevelKind::kStop;
       if (opts_.cancel != nullptr) opts_.cancel->poll();
       // Fault site on worker 0 while the others wait at the barrier: the
       // throw is caught by next_level() and becomes a stop for everyone.
       SMPST_FAILPOINT("core.parallel_bfs.level");
       ++stats_.levels;
       stats_.max_frontier =
-          std::max<std::uint64_t>(stats_.max_frontier, st_.frontier.size());
+          std::max<std::uint64_t>(stats_.max_frontier, frontier_size_);
 
-      pull_ = choose_pull(opts_, pull_, st_.frontier.size(), frontier_edges_,
+      pull_ = choose_pull(opts_, pull_, frontier_size_, frontier_edges_,
                           unexplored_edges_, st_.n);
       if (last_dir_ >= 0 && last_dir_ != static_cast<int>(pull_)) {
         ++stats_.direction_switches;
@@ -273,13 +308,15 @@ class LevelPlanner {
       last_dir_ = static_cast<int>(pull_);
       if (pull_) {
         ++stats_.pull_levels;
-        return LevelKind::kPull;
+        if (!st_.in_cur_frontier) {
+          st_.in_cur_frontier = std::make_unique<std::uint8_t[]>(st_.n);
+        }
+        return hand_to_group(LevelKind::kPull);
       }
       ++stats_.push_levels;
-      st_.cursor.store(0, std::memory_order_relaxed);
-      if (st_.frontier.size() > grain_ * st_.p) return LevelKind::kPush;
-      expand_level_push(st_, 0, grain_);
-      finish_level();
+      if (frontier_size_ > solo_max_) return hand_to_group(LevelKind::kPush);
+      ++stats_.solo_levels;
+      expand_solo_level();
     }
   }
 
@@ -292,33 +329,112 @@ class LevelPlanner {
     }
     if (root_ == st_.n) return false;
     SMPST_BENIGN_RACE_STORE(st_.parent[root_], root_);
-    st_.frontier.assign(1, root_);
-    frontier_edges_ = st_.g.degree(root_);
+    head_ = tail_;
+    queue_[tail_++] = root_;
+    in_queue_ = true;
+    frontier_size_ = 1;
+    frontier_edges_ = queued_edges();
     pull_ = false;  // every component starts in push
     last_dir_ = -1;
     return true;
   }
 
-  /// Retires the expanded level: its edges are now explored (the running
-  /// count is the mu term of the alpha heuristic) and the buffers become the
-  /// next frontier. Every buffer is left empty, so a thin level can fill
-  /// buffer 0 alone.
-  void finish_level() {
-    unexplored_edges_ -= std::min(unexplored_edges_, frontier_edges_);
-    st_.frontier.clear();
-    frontier_edges_ = 0;
-    for (auto& buf : st_.buffers) {
-      for (const VertexId v : *buf) frontier_edges_ += st_.g.degree(v);
-      st_.frontier.insert(st_.frontier.end(), buf->begin(), buf->end());
-      buf->clear();
+  /// Expands the frontier queue_[head_, tail_) as one level of the FIFO run:
+  /// the vertices it discovers are queued behind it and become the next
+  /// frontier. A push level's scanned edges are its frontier's degree sum,
+  /// the edges that become explored. The run's step is bfs_spanning_tree's
+  /// (core/fifo_bfs.hpp): a plain check-then-set on parent, which is safe
+  /// because every other worker waits at the barrier (docs/CONCURRENCY.md).
+  void expand_solo_level() {
+    if (!in_queue_) {
+      // The group's discoveries continue the queue. Every vertex is queued
+      // at most once per traversal, so the queue never outgrows n slots.
+      head_ = tail_;
+      for (std::size_t t = 0; t < st_.p; ++t) {
+        const std::span<const VertexId> piece = st_.piece(t);
+        std::copy(piece.begin(), piece.end(), queue_.get() + tail_);
+        tail_ += piece.size();
+      }
+      in_queue_ = true;
     }
+    std::size_t head = head_;
+    std::size_t tail = tail_;
+    const std::size_t level_end = tail;
+    const FifoBfsStep<GS> expand_next(st_.g, st_.parent, queue_.get());
+    std::uint64_t scanned = 0;
+    while (head < level_end) scanned += expand_next(head, tail);
+    head_ = head;
+    tail_ = tail;
+    unexplored_edges_ -= std::min(unexplored_edges_, scanned);
+    frontier_size_ = tail - head;
+    frontier_edges_ = queued_edges();
+  }
+
+  /// The queued frontier's degree sum, summed only when choose_pull reads it.
+  std::uint64_t queued_edges() const {
+    if (!frontier_big(frontier_size_, st_.n)) return 0;
+    std::uint64_t edges = 0;
+    for (std::size_t i = head_; i < tail_; ++i) {
+      edges += st_.g.degree(queue_[i]);
+    }
+    return edges;
+  }
+
+  /// Publishes the frontier for the group. A queued frontier is cut into p
+  /// equal pieces of the queue, which the group's level consumes.
+  LevelKind hand_to_group(LevelKind kind) {
+    if (in_queue_) {
+      const std::size_t size = tail_ - head_;
+      for (std::size_t t = 0; t <= st_.p; ++t) {
+        const std::size_t start = size * t / st_.p;
+        st_.pieces[t] = {queue_.get() + head_ + start, start};
+      }
+      head_ = tail_;
+      in_queue_ = false;
+    }
+    st_.cursor.store(0, std::memory_order_relaxed);
+    group_level_ = true;
+    return kind;
+  }
+
+  /// Retires the level the group expanded: its edges are now explored (the
+  /// running count is the mu term of the alpha heuristic) and the workers'
+  /// found buffers, with the degree sums they took, become the next
+  /// frontier.
+  void take_group_level() {
+    group_level_ = false;
+    std::uint64_t explored = frontier_edges_;
+    if (!pull_) {
+      explored = 0;
+      for (std::size_t t = 0; t < st_.p; ++t) explored += st_.slot(t).scanned;
+    }
+    unexplored_edges_ -= std::min(unexplored_edges_, explored);
+    std::size_t size = 0;
+    frontier_edges_ = 0;
+    for (std::size_t t = 0; t < st_.p; ++t) {
+      const WorkerSlot& slot = st_.slot(t);
+      st_.pieces[t] = {slot.found.data(), size};
+      size += slot.found.size();
+      frontier_edges_ += slot.found_edges;
+    }
+    st_.pieces[st_.p] = {nullptr, size};
+    frontier_size_ = size;
+    st_.out ^= 1U;
   }
 
   BfsState<GS>& st_;
   const ParallelBfsOptions& opts_;
-  const std::size_t grain_;
+  const std::size_t solo_max_;  ///< widest frontier worker 0 expands alone
   ParallelBfsStats& stats_;
+  /// The solo FIFO. queue_[head_, tail_) is the frontier while in_queue_;
+  /// otherwise the frontier is st_.pieces.
+  const std::unique_ptr<VertexId[]> queue_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
+  bool in_queue_ = false;
+  bool group_level_ = false;  ///< the group expanded the planned level
   std::uint64_t unexplored_edges_;
+  std::uint64_t frontier_size_ = 0;
   std::uint64_t frontier_edges_ = 0;
   VertexId root_ = 0;
   bool pull_ = false;
@@ -327,24 +443,29 @@ class LevelPlanner {
 
 /// One worker's whole traversal. Each level the group expands costs two
 /// barrier episodes (plan published, expansion done), a pull level two more
-/// inside; thin levels and component starts cost none. Nothing throws past
-/// this function, so every worker reaches every barrier.
+/// inside; solo levels and component starts cost none. Before the closing
+/// barrier each worker sums the degrees of what it found, its piece of the
+/// next frontier. Nothing throws past this function, so every worker
+/// reaches every barrier.
 template <storage::GraphStorage GS>
-void level_worker(BfsState<GS>& st, std::size_t tid, std::size_t grain,
+void level_worker(BfsState<GS>& st, std::size_t tid,
                   LevelPlanner<GS>& planner) {
   for (;;) {
     if (tid == 0) st.next = planner.next_level();
     st.barrier.arrive_and_wait();
     const LevelKind kind = st.next;
     if (kind == LevelKind::kStop) return;
-    if (kind == LevelKind::kPull) {
-      expand_level_pull(st, tid);
-    } else {
-      try {
-        expand_level_push(st, tid, grain);
-      } catch (...) {
-        st.record_failure();
-      }
+    WorkerSlot& slot = st.slot(tid);
+    auto& out = slot.found;
+    out.clear();
+    if (kind == LevelKind::kPull) expand_level_pull(st, tid);
+    try {
+      if (kind == LevelKind::kPush) expand_level_push(st, slot);
+      std::uint64_t edges = 0;
+      for (const VertexId v : out) edges += st.g.degree(v);
+      slot.found_edges = edges;
+    } catch (...) {
+      st.record_failure();
     }
     st.barrier.arrive_and_wait();
   }
@@ -356,28 +477,24 @@ template <storage::GraphStorage GS>
 SpanningForest parallel_bfs_impl(const GS& g, ThreadPool& pool,
                                  const ParallelBfsOptions& opts) {
   const VertexId n = g.num_vertices();
-  const std::size_t grain = std::max<std::size_t>(1, opts.grain);
 
   SpanningForest forest;
   forest.parent.assign(n, kInvalidVertex);
   if (n == 0) return forest;
   if (opts.cancel != nullptr) opts.cancel->poll();
 
-  BfsState<GS> st(g, pool.size());
+  // A grain of n already leaves every level to worker 0; the clamp keeps
+  // grain * p and the cursor's grabs from overflowing.
+  const std::size_t grain = std::clamp<std::size_t>(opts.grain, 1, n);
+  BfsState<GS> st(g, pool.size(), grain, forest.parent.data());
   ParallelBfsStats stats;
-  st.first_touch_init(pool);
-  ++stats.regions;
   SMPST_TRACE_SCOPE("pbfs.run");
 
-  LevelPlanner<GS> planner(st, opts, grain, stats);
-  pool.run([&](std::size_t tid) { level_worker(st, tid, grain, planner); });
+  LevelPlanner<GS> planner(st, opts, stats);
+  pool.run([&](std::size_t tid) { level_worker(st, tid, planner); });
   ++stats.regions;
   if (st.error) std::rethrow_exception(st.error);
   stats.barriers = st.barrier.episodes();
-
-  for (VertexId v = 0; v < n; ++v) {
-    forest.parent[v] = st.parent[v];  // after the region join: race-free
-  }
   if (opts.stats != nullptr) *opts.stats = stats;
   return forest;
 }

@@ -10,7 +10,9 @@
 //     from a shared cursor, claims unvisited neighbours with a CAS (unlike
 //     the traversal algorithm's benign races, level-synchronous BFS needs
 //     exact frontier membership), and appends discoveries to a per-thread
-//     buffer that is concatenated into the next frontier.
+//     buffer. The p buffers are the next frontier's pieces as they are: the
+//     cursor hands out grains over their concatenation, so no thread
+//     gathers them.
 //   * pull — each thread scans its *owned* contiguous vertex shard for
 //     unvisited vertices and attaches each to any neighbour flagged in the
 //     current frontier, stopping at the first hit. When the frontier is
@@ -27,13 +29,14 @@
 // line does not flip straight back, and the direction changes at most a
 // handful of times per component (direction_switches in the stats).
 //
-// A traversal is two pool regions: first touch, then one region holding the
-// component and level loops. Worker 0 plans each level (root scan, cancel
-// poll, direction, frontier gather) while the others wait at a SpinBarrier;
-// a push level of at most grain * p vertices it expands alone. The barrier
-// count is therefore O(diameter) only over levels wide enough to share —
-// versus the paper's O(1) — which is the structural difference the
-// comparison bench (ablate_levelsync) quantifies.
+// A traversal is one pool region, and it writes the result forest's parent
+// array directly. Worker 0 plans each level (root scan, cancel poll,
+// direction) while the others wait at a SpinBarrier. Push levels of at most
+// grain * p vertices it runs alone, as one FIFO like the sequential BFS, and
+// hands the first wider level to the group. The barrier count is therefore
+// O(diameter) only over levels wide enough to share — versus the paper's
+// O(1) — which is the structural difference the comparison bench
+// (ablate_levelsync) quantifies.
 #pragma once
 
 #include <cstdint>
@@ -50,11 +53,12 @@ class ThreadPool;
 struct ParallelBfsStats {
   std::uint64_t levels = 0;     ///< frontier expansions (== eccentricity + 1)
   std::uint64_t barriers = 0;   ///< SpinBarrier episodes
-  std::uint64_t regions = 0;    ///< ThreadPool::run calls (2 per traversal)
+  std::uint64_t regions = 0;    ///< ThreadPool::run calls
   std::uint64_t max_frontier = 0;
   std::uint64_t push_levels = 0;  ///< levels expanded in push direction
   std::uint64_t pull_levels = 0;  ///< levels expanded in pull direction
   std::uint64_t direction_switches = 0;  ///< push↔pull transitions
+  std::uint64_t solo_levels = 0;  ///< push levels worker 0 expanded alone
 };
 
 /// Expansion direction policy for the level loop.
@@ -66,7 +70,8 @@ enum class BfsDirection {
 struct ParallelBfsOptions {
   std::size_t num_threads = 0;  ///< 0 = hardware_threads()
   /// Frontier vertices claimed per cursor grab; a push level of at most
-  /// grain * p vertices is expanded by worker 0 alone.
+  /// grain * p vertices is expanded by worker 0 alone (grain >= n makes
+  /// every push level solo).
   std::size_t grain = 64;
   ParallelBfsStats* stats = nullptr;
 

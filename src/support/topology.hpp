@@ -20,12 +20,13 @@ namespace smpst {
 /// Snapshot of the CPUs this process may run on, grouped by NUMA node.
 ///
 /// The slot order is the placement contract used across the library:
-/// `ThreadPool` pins worker t to `cpu_of_slot(t)`, traversals first-touch
-/// the t-th vertex shard from worker t, and the steal policy derives its
-/// intra-node victim sets from `node_of_slot`. Grouping by node (all of node
-/// A's allowed CPUs first, ascending, then node B's, ...) makes contiguous
-/// worker ranges land on the same socket, which is exactly what contiguous
-/// vertex sharding wants.
+/// `ThreadPool` pins worker t to `cpu_of_slot(t)`, and the steal policy
+/// derives its intra-node victim sets from `node_of_slot`. Grouping by node
+/// (all of node A's allowed CPUs first, ascending, then node B's, ...) makes
+/// contiguous worker ranges land on the same socket, so a pull level's
+/// contiguous vertex shards are scanned by workers of one socket each. No
+/// traversal first-touches its arrays per shard: the calling thread fills
+/// the forest's parent array and so places it.
 struct CpuTopology {
   /// Allowed CPU ids, grouped by node, ascending within each node.
   std::vector<int> cpus;

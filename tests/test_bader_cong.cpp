@@ -221,6 +221,8 @@ TEST(BaderCong, FallbackProducesValidForest) {
   ASSERT_TRUE(report) << report.error;
   EXPECT_TRUE(stats.fallback_triggered);
   EXPECT_GT(stats.fallback_seconds, 0.0);
+  // The partial trees leave vertices to connect, so SV grafts at least once.
+  EXPECT_GT(stats.fallback_sv_iterations, 0u);
 }
 
 TEST(BaderCong, FallbackDisabledStillCompletes) {
@@ -232,6 +234,7 @@ TEST(BaderCong, FallbackDisabledStillCompletes) {
   const auto f = bader_cong_spanning_tree(g, o);
   ASSERT_TRUE(validate_spanning_forest(g, f));
   EXPECT_FALSE(stats.fallback_triggered);
+  EXPECT_EQ(stats.fallback_sv_iterations, 0u);
 }
 
 TEST(BaderCong, StealChunkOneWorks) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <system_error>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cc/connected_components.hpp"
@@ -75,8 +76,8 @@ INSTANTIATE_TEST_SUITE_P(Families, HcsSweep,
 
 TEST(ParallelBfs, StatsReportLevels) {
   // A chain's frontier is one vertex at every level, so worker 0 expands all
-  // 200 levels alone: the group meets at the barrier only to stop, and the
-  // whole traversal is two pool regions (first touch, level loop).
+  // 200 levels alone: the group meets at the barrier only to stop, in the
+  // traversal's one pool region.
   const Graph g = gen::chain(200);
   ParallelBfsStats stats;
   ParallelBfsOptions opts;
@@ -85,8 +86,9 @@ TEST(ParallelBfs, StatsReportLevels) {
   const auto f = parallel_bfs_spanning_tree(g, opts);
   ASSERT_TRUE(validate_spanning_forest(g, f));
   EXPECT_EQ(stats.levels, 200u);  // a chain has n levels from one end
-  EXPECT_EQ(stats.regions, 2u);
-  EXPECT_LT(stats.barriers, stats.levels);
+  EXPECT_EQ(stats.solo_levels, 200u);
+  EXPECT_EQ(stats.regions, 1u);
+  EXPECT_EQ(stats.barriers, 1u);
   EXPECT_EQ(stats.max_frontier, 1u);
 }
 
@@ -96,13 +98,14 @@ TEST(ParallelBfs, TreeDepthsAreBfsDistances) {
   // component must come out as a BFS tree of its root, also with many
   // components (chains plus isolated vertices, a whole 2d60 mesh). grain = 1
   // hands every level wider than p vertices to the group; the default grain
-  // leaves the thin levels to worker 0.
+  // leaves the thin levels to worker 0, and grain = n every push level.
   const Graph graphs[] = {gen::make_family("torus-rowmajor", 400, 3),
                           gen::disjoint_chains(12, 40, 9),
                           gen::make_family("2d60", 4096, 7)};
   ThreadPool pool(4);
   for (const Graph& g : graphs) {
-    for (const std::size_t grain : {std::size_t{1}, std::size_t{64}}) {
+    for (const std::size_t grain :
+         {std::size_t{1}, std::size_t{64}, std::size_t{g.num_vertices()}}) {
       ParallelBfsOptions opts;
       opts.grain = grain;
       const auto f = parallel_bfs_spanning_tree(g, pool, opts);
@@ -117,6 +120,49 @@ TEST(ParallelBfs, TreeDepthsAreBfsDistances) {
               << "grain " << grain << " root " << root << " vertex " << v;
         }
       }
+    }
+  }
+}
+
+TEST(ParallelBfs, DirectionChoicesDoNotDependOnGrain) {
+  // Whether worker 0 expands a push level alone or the group shares it, the
+  // level sets and the edge counts the direction heuristic reads are the
+  // same, so the choices are too. grain = 1 shares every level wider than
+  // p, grain = n none; random-nlogn pulls, the others stay in push, and the
+  // 2d60 graph has many components.
+  const std::pair<const char*, VertexId> cases[] = {{"random-nlogn", 16384},
+                                                    {"geo-flat", 16384},
+                                                    {"torus-rowmajor", 16384},
+                                                    {"2d60", 16384}};
+  ThreadPool pool(4);
+  for (const auto& [family, n] : cases) {
+    const Graph g = gen::make_family(family, n, 24301);
+    std::vector<ParallelBfsStats> runs;
+    std::size_t trees = 0;
+    for (const std::size_t grain :
+         {std::size_t{1}, std::size_t{64}, std::size_t{g.num_vertices()}}) {
+      ParallelBfsStats stats;
+      ParallelBfsOptions opts;
+      opts.grain = grain;
+      opts.stats = &stats;
+      const auto f = parallel_bfs_spanning_tree(g, pool, opts);
+      ASSERT_TRUE(validate_spanning_forest(g, f)) << family;
+      runs.push_back(stats);
+      trees = f.num_trees();
+    }
+    if (std::string(family) == "random-nlogn") {
+      EXPECT_GE(runs[0].pull_levels, 1u);
+    }
+    if (std::string(family) == "2d60") {
+      EXPECT_GT(trees, 1u);
+    }
+    EXPECT_LT(runs.front().solo_levels, runs.front().push_levels) << family;
+    EXPECT_EQ(runs.back().solo_levels, runs.back().push_levels) << family;
+    for (const ParallelBfsStats& s : runs) {
+      EXPECT_EQ(s.levels, runs[0].levels) << family;
+      EXPECT_EQ(s.push_levels, runs[0].push_levels) << family;
+      EXPECT_EQ(s.pull_levels, runs[0].pull_levels) << family;
+      EXPECT_EQ(s.direction_switches, runs[0].direction_switches) << family;
     }
   }
 }

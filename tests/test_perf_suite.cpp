@@ -497,6 +497,37 @@ TEST(PerfSuite, BaderCongCellsEmitRootsClaimed) {
             std::string::npos);
 }
 
+// A Bader–Cong cell whose run fell back to Shiloach–Vishkin reports the
+// fallback's SV iterations. Delayed publishes hold a worker's children out
+// of reach, and the injected wake-ups let the idle worker sleep out its
+// patience at once.
+TEST(PerfSuite, BaderCongCellsEmitFallbackSvIterations) {
+  PerfSuiteConfig cfg;
+  cfg.families = {"2d60"};
+  cfg.n = 4096;
+  cfg.threads = {2};
+  cfg.repeats = 1;
+  cfg.seed = 5;
+  cfg.run_sv = false;
+  cfg.run_parallel_bfs = false;
+  cfg.run_dir = false;
+  cfg.failpoint_spec =
+      "sched.termination.sleep=wake;sched.work_queue.pop=25%delay(2)";
+  std::ostringstream progress;
+  const auto result = run_perf_suite(cfg, progress);
+  ASSERT_EQ(result.families.size(), 1u);
+  ASSERT_EQ(result.families[0].runs.size(), 1u);
+  const PerfRun& run = result.families[0].runs[0];
+  ASSERT_TRUE(run.fallback_triggered);
+  EXPECT_GT(run.sv_iterations, 0u);
+
+  std::ostringstream json;
+  write_perf_suite_json(result, json);
+  EXPECT_NE(json.str().find("\"sv_iterations\": " +
+                            std::to_string(run.sv_iterations)),
+            std::string::npos);
+}
+
 // The direction-optimizing column must carry its observability fields: the
 // push-only column never pulls by construction, and both defaults are on.
 // The bader_cong cells carry their phase times and measured T_M beside the
@@ -535,6 +566,11 @@ TEST(PerfSuite, DirectionColumnPresentWithStats) {
       saw_push = true;
       EXPECT_EQ(run.pull_levels, 0u) << "push-only column pulled";
     }
+    if (run.algo.starts_with("parallel_bfs")) {
+      // The root's level is thin, and the group meets at least to stop.
+      EXPECT_GE(run.solo_levels, 1u) << run.algo;
+      EXPECT_GE(run.barriers, 1u) << run.algo;
+    }
     if (run.algo == "parallel_bfs_dir") {
       saw_dir = true;
       // random-nlogn at this size is low-diameter and dense enough that the
@@ -548,8 +584,9 @@ TEST(PerfSuite, DirectionColumnPresentWithStats) {
 
   std::ostringstream json;
   write_perf_suite_json(result, json);
-  for (const char* key : {"\"stub_s\"", "\"traversal_s\"", "\"fallback_s\"",
-                          "\"tm_measured\"", "\"tm_formula\""}) {
+  for (const char* key :
+       {"\"stub_s\"", "\"traversal_s\"", "\"fallback_s\"", "\"tm_measured\"",
+        "\"tm_formula\"", "\"solo_levels\"", "\"barriers\""}) {
     EXPECT_NE(json.str().find(key), std::string::npos) << key;
   }
 }
