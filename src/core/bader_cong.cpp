@@ -225,14 +225,9 @@ void traversal_worker(TraversalState<GS>& st, std::size_t tid,
           // Warm the next batch member's CSR slice while this one expands:
           // neighbors() touches the offsets line and the first targets
           // line, both cold for vertices that arrived by steal or long-ago
-          // enqueue. Resident backends only: on a blocked graph neighbors()
-          // is real cache/disk work, not a pointer computation, so the
-          // "hint" would cost more than the miss it hides.
-          if constexpr (storage::is_resident_v<GS>) {
-            if (i + 1 < taken) {
-              prefetch_read(st.g.neighbors(batch[i + 1]).data());
-            }
-          }
+          // enqueue. On a blocked graph the hint goes through the block
+          // cache without a lock, a count or I/O.
+          if (i + 1 < taken) st.g.prefetch_neighbors(batch[i + 1]);
           const std::size_t k =
               expand_vertex(st, queue, written, batch[i], edges_scanned);
           written += k;

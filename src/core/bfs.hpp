@@ -10,9 +10,9 @@
 // 4-vCPU VM, at n = 2^20, that cut the time by 54% on random-nlogn, 43% on
 // geo-flat, 26% on torus-rowmajor and 20% on 2d60; chain-seq, whose slices
 // are already read in address order, did not change. The visiting order,
-// and so the parent array, is what it was without the hint. Only the
-// resident Graph gets the hint: on a storage::BlockedGraph neighbors() pins
-// a cache block, real work rather than a pointer computation.
+// and so the parent array, is what it was without the hint. A
+// storage::BlockedGraph takes the same hint through its block cache, which
+// finds a cached frame without a lock and counts and loads nothing.
 #pragma once
 
 #include "core/cancellation.hpp"

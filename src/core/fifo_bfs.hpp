@@ -31,10 +31,10 @@ class FifoBfsStep {
   /// parent[w] == kInvalidVertex gets parent[w] = v and is queued at
   /// q[tail++]. Returns v's degree, the edges the expansion scanned.
   ///
-  /// On the resident Graph it first warms the next queued vertex's
-  /// neighbour slice and the offsets entry of the one after it (bfs.hpp
-  /// says why). On a storage::BlockedGraph neighbors() pins a cache block:
-  /// a hint would be real cache or disk work, not a pointer computation.
+  /// It first warms the next queued vertex's neighbour slice and the
+  /// offsets entry of the one after it (bfs.hpp says why): from the CSR
+  /// pointers on the resident Graph, through the block cache's lock-free,
+  /// count-free hints on a storage::BlockedGraph.
   EdgeId operator()(std::size_t& head, std::size_t& tail) const {
     VertexId* const q = q_;
     const VertexId v = q[head++];
@@ -46,6 +46,8 @@ class FifoBfsStep {
       for (EdgeId e = begin; e < end; ++e) visit(v, targets_[e], tail);
       return end - begin;
     } else {
+      if (head < tail) g_.prefetch_neighbors(q[head]);
+      if (head + 1 < tail) g_.prefetch_offsets(q[head + 1]);
       const auto nbrs = g_.neighbors(v);
       for (const VertexId w : nbrs) visit(v, w, tail);
       return nbrs.size();

@@ -12,6 +12,7 @@
 
 #include "graph/types.hpp"
 #include "support/assert.hpp"
+#include "support/prefetch.hpp"
 
 namespace smpst {
 
@@ -41,6 +42,11 @@ class Graph {
     SMPST_ASSERT(static_cast<std::size_t>(v) + 1 < offsets_.size());
     return {targets_.data() + offsets_[v],
             targets_.data() + offsets_[v + 1]};
+  }
+
+  /// Hints that neighbors(v) will be read soon: prefetches its first line.
+  void prefetch_neighbors(VertexId v) const noexcept {
+    prefetch_read(neighbors(v).data());
   }
 
   /// True if edge {u, v} exists. O(log deg(u)) — neighbours are sorted.

@@ -105,12 +105,16 @@ void QueryExecutor::finish_pending() {
   }
 }
 
-/// The one admission body: queues every item or answers each one kRejected
-/// inline. It never throws, even when the queue itself faults (failpoints,
-/// allocation failure).
-void QueryExecutor::admit(std::vector<Item> items, std::string reject_reason) {
+/// The one admission body: queues every item or refuses them all, answering
+/// each refused query kRejected inline. Offloaded tasks count toward
+/// pending() only, not the query counters, and a refused one has no
+/// completion to answer. It never throws, even when the queue itself faults
+/// (failpoints, allocation failure).
+bool QueryExecutor::admit(std::vector<Item> items, std::string reject_reason) {
   const std::size_t count = items.size();
-  submitted_.fetch_add(count, std::memory_order_relaxed);
+  const auto queries = static_cast<std::uint64_t>(std::count_if(
+      items.begin(), items.end(), [](const Item& i) { return !i.task; }));
+  submitted_.fetch_add(queries, std::memory_order_relaxed);
   bool pushed = false;
   pending_.fetch_add(count, std::memory_order_acq_rel);
   try {
@@ -119,19 +123,22 @@ void QueryExecutor::admit(std::vector<Item> items, std::string reject_reason) {
     reject_reason = std::string("admission failure: ") + e.what();
   }
   if (!pushed) {
-    rejected_.fetch_add(count, std::memory_order_relaxed);
+    rejected_.fetch_add(queries, std::memory_order_relaxed);
     for (auto& item : items) {
-      QueryResult r;
-      r.status = QueryStatus::kRejected;
-      r.error = reject_reason;
-      r.graph = item.req.graph;
-      r.algorithm = item.req.algorithm;
-      deliver(item.done, std::move(r));
+      if (!item.task) {
+        QueryResult r;
+        r.status = QueryStatus::kRejected;
+        r.error = reject_reason;
+        r.graph = item.req.graph;
+        r.algorithm = item.req.algorithm;
+        deliver(item.done, std::move(r));
+      }
       finish_pending();
     }
-    return;
+    return false;
   }
-  accepted_.fetch_add(count, std::memory_order_relaxed);
+  accepted_.fetch_add(queries, std::memory_order_relaxed);
+  return true;
 }
 
 void QueryExecutor::submit(SpanningTreeRequest req, Completion done) {
@@ -178,21 +185,10 @@ std::vector<std::future<QueryResult>> QueryExecutor::submit_batch(
 
 bool QueryExecutor::submit_task(std::function<void()> task) {
   if (!task) return false;
-  Item item;
-  item.task = std::move(task);
-  item.enqueued = std::chrono::steady_clock::now();
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  bool pushed = false;
-  try {
-    pushed = queue_.try_push(std::move(item));
-  } catch (const std::exception&) {
-    // Injected admission fault: same outcome as a full queue.
-  }
-  if (!pushed) {
-    finish_pending();
-    return false;
-  }
-  return true;
+  std::vector<Item> items(1);
+  items[0].enqueued = std::chrono::steady_clock::now();
+  items[0].task = std::move(task);
+  return admit(std::move(items), {});
 }
 
 bool QueryExecutor::drain(std::chrono::milliseconds timeout) {

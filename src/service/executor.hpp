@@ -161,7 +161,7 @@ class QueryExecutor {
 
   void worker_loop(std::size_t slot);
   QueryResult execute(Item& item, ThreadPool& pool);
-  void admit(std::vector<Item> items, std::string reject_reason);
+  bool admit(std::vector<Item> items, std::string reject_reason);
   void finish_pending();
 
   GraphRegistry& registry_;

@@ -45,6 +45,12 @@
 // Only CLOCK caches read this way; an LRU hit must
 // update its shard's tick, so it pins. Hits are counted per thread (see
 // count_hit), so a lock-free hit writes no line another thread writes.
+//
+// Hints: prefetch() and peek_word() follow the same frame table to a frame's
+// bytes but validate nothing and write nothing — no lock, no count, no
+// reference bit, no load on a miss — so they cost a few loads and leave the
+// cache's state as they found it. A peeked word may be stale; prefetching a
+// stale line is harmless, and a prefetch never faults.
 #pragma once
 
 #include <atomic>
@@ -58,6 +64,7 @@
 #include "obs/metrics.hpp"
 #include "storage/graph_storage.hpp"
 #include "support/cacheline.hpp"
+#include "support/prefetch.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace smpst::storage {
@@ -123,6 +130,32 @@ class BlockCache {
     if (!try_read_words(block, at, words, dst)) {
       read_words_pinned(block, at, words, dst);
     }
+  }
+
+  /// Hints that byte `at` of `block` will be read soon: when the block is
+  /// cached, prefetches that line of its frame. A lookup only: no shard
+  /// lock, no hit counted, no reference bit set, nothing loaded on a miss.
+  /// A frame reassigned under the hint just warms a line of another block.
+  void prefetch(std::uint64_t block, std::size_t at) const noexcept {
+    const std::byte* data = cached_bytes(block);
+    if (data != nullptr) prefetch_read(data + at);
+  }
+
+  /// Stores in `word` the 8-byte word at byte `at` (8-aligned) of `block`
+  /// and returns true when the block is cached; a lookup only, like
+  /// prefetch(). Stale-tolerant, not validated: the frame may be reassigned
+  /// or reloaded under the read, so `word` may come from another block or a
+  /// load in progress, and a caller must bound it before using it as an
+  /// index.
+  bool peek_word(std::uint64_t block, std::size_t at,
+                 std::uint64_t& word) const noexcept {
+    const std::byte* data = cached_bytes(block);
+    if (data == nullptr) return false;
+    word = std::atomic_ref<std::uint64_t>(
+               *reinterpret_cast<std::uint64_t*>(
+                   const_cast<std::byte*>(data + at)))
+               .load(std::memory_order_relaxed);
+    return true;
   }
 
   /// How long a miss waits for a frame to be unpinned before refusing.
@@ -207,6 +240,16 @@ class BlockCache {
   }
   [[nodiscard]] static bool loading(const Frame& f) noexcept {
     return (f.version.load(std::memory_order_relaxed) & 1) != 0;
+  }
+
+  /// The frame bytes the table maps `block` to, or null; unvalidated (see
+  /// peek_word). Frame memory lives until the cache closes, so the pointer
+  /// never dangles, whatever block the frame holds by the time it is used.
+  [[nodiscard]] const std::byte* cached_bytes(
+      std::uint64_t block) const noexcept {
+    const std::uint32_t idx = table_[block].load(std::memory_order_acquire);
+    if (idx == kNotCached) return nullptr;
+    return frames_[idx].bytes.load(std::memory_order_acquire);
   }
 
   /// The lock-free read behind read_words(). Returns false, counting

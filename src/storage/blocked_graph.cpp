@@ -35,16 +35,14 @@ thread_local std::uint64_t t_short_slice[kShortSliceWords];
 
 std::pair<EdgeId, EdgeId> BlockedGraph::offset_pair(VertexId v) const {
   SMPST_ASSERT(static_cast<std::uint64_t>(v) < header_.num_vertices);
-  const std::size_t bb = cache_.block_bytes();
-  const std::uint64_t pos =
-      header_.offsets_pos + static_cast<std::uint64_t>(v) * sizeof(EdgeId);
+  const std::uint64_t pos = offset_pos(v);
   // Blocks are >= 64 bytes and the header is 64 bytes, so an 8-byte offset
   // entry is 8-aligned within the file and never straddles a block; only
   // the pair can, when offsets[v] is the last entry of its block.
   const std::uint64_t blk = pos >> block_shift_;
-  const std::size_t at = static_cast<std::size_t>(pos - blk * bb);
+  const std::size_t at = in_block(pos);
   std::uint64_t pair[2];
-  if (at + 2 * sizeof(EdgeId) <= bb) {
+  if (at + 2 * sizeof(EdgeId) <= cache_.block_bytes()) {
     cache_.read_words(blk, at, 2, pair);
   } else {
     cache_.read_words(blk, at, 1, &pair[0]);

@@ -19,6 +19,12 @@
 // One live span per thread: a thread destroys its span before its next
 // neighbors() call (Debug builds assert it), as every kernel loop does.
 //
+// Hints: prefetch_offsets(v) and prefetch_neighbors(v) warm the lines a
+// later degree(v) or neighbors(v) reads, through BlockCache::prefetch and
+// BlockCache::peek_word. They take no lock and no pin, count nothing and
+// load nothing, so a kernel can make them for upcoming vertices as it does
+// over the resident Graph.
+//
 // Thread safety: const access from any number of threads concurrently (the
 // BlockCache does its own sharded locking); that is what lets the traversal
 // kernels run over a BlockedGraph unchanged.
@@ -140,6 +146,26 @@ class BlockedGraph {
   /// comment for what the span points into.
   [[nodiscard]] NeighborSpan neighbors(VertexId v) const;
 
+  /// Hints that v's offsets entry will be read soon (BlockCache::prefetch):
+  /// lock-free, count-free, and a no-op when its block is not cached.
+  void prefetch_offsets(VertexId v) const noexcept {
+    const std::uint64_t pos = offset_pos(v);
+    cache_.prefetch(pos >> block_shift_, in_block(pos));
+  }
+
+  /// Hints that neighbors(v) will be called soon: peeks offsets[v] and warms
+  /// the first line of v's targets. Lock-free and count-free like
+  /// prefetch_offsets(); does nothing where a block is not cached.
+  void prefetch_neighbors(VertexId v) const noexcept {
+    const std::uint64_t pos = offset_pos(v);
+    std::uint64_t lo = 0;
+    if (!cache_.peek_word(pos >> block_shift_, in_block(pos), lo)) return;
+    // The peek may be stale; a bounded offset names a block of the file.
+    if (lo >= header_.num_arcs) return;
+    const std::uint64_t at = header_.targets_pos + lo * sizeof(VertexId);
+    cache_.prefetch(at >> block_shift_, in_block(at));
+  }
+
   /// Bytes this graph is charged against a registry budget: the block-cache
   /// frames and metadata — NOT the CSR size, which is csr_bytes().
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
@@ -154,6 +180,9 @@ class BlockedGraph {
   [[nodiscard]] BlockCache::Stats cache_stats() const noexcept {
     return cache_.stats();
   }
+  [[nodiscard]] std::uint64_t cache_read_retries() const noexcept {
+    return cache_.read_retries();
+  }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] const CsrFileHeader& header() const noexcept {
     return header_;
@@ -163,6 +192,13 @@ class BlockedGraph {
   /// offsets[v] and offsets[v + 1], one block read unless the pair
   /// straddles a block (1 vertex in block_bytes / 8).
   [[nodiscard]] std::pair<EdgeId, EdgeId> offset_pair(VertexId v) const;
+  /// File byte of offsets[v], and a file byte's offset inside its block.
+  [[nodiscard]] std::uint64_t offset_pos(VertexId v) const noexcept {
+    return header_.offsets_pos + static_cast<std::uint64_t>(v) * sizeof(EdgeId);
+  }
+  [[nodiscard]] std::size_t in_block(std::uint64_t pos) const noexcept {
+    return static_cast<std::size_t>(pos & (cache_.block_bytes() - 1));
+  }
 
   std::string path_;
   CsrFileHeader header_;

@@ -3,11 +3,12 @@
 // Every spanning-tree kernel in src/core is a function template over a
 // GraphStorage type: the in-memory `Graph` (CSR vectors, `neighbors()` is a
 // std::span over contiguous memory) and the disk-resident
-// `storage::BlockedGraph` (block-cached CSR file, `neighbors()` is a pinned
-// block-backed span). The kernels are instantiated explicitly for both in
-// their .cpp files, so the in-memory instantiation compiles to exactly the
-// code it did before this interface existed — no virtual dispatch anywhere
-// near a neighbour loop.
+// `storage::BlockedGraph` (block-cached CSR file, `neighbors()` is a
+// `NeighborSpan`: a copy of a short slice, a pinned frame, or an owned copy
+// of a slice that crosses blocks). The kernels are instantiated explicitly
+// for both in their .cpp files, so the in-memory instantiation compiles to
+// exactly the code it did before this interface existed — no virtual
+// dispatch anywhere near a neighbour loop.
 //
 // Internal bodies: an explicit instantiation is a COMDAT (weak) symbol, and
 // GCC does not split COMDAT functions into hot and cold parts. A kernel
@@ -16,10 +17,14 @@
 // the lambda, and the std::function handler that inlines the worker loop,
 // stay internal and keep their hot/cold split.
 //
-// `is_resident` distinguishes the two at compile time where it matters:
-// software prefetch of a neighbour slice is a win when `neighbors()` is a
-// pointer computation but would trigger real I/O on a blocked graph, so the
-// kernels gate those hints with `if constexpr (is_resident_v<GS>)`.
+// Both backends take the same prefetch hint, `prefetch_neighbors(v)`: on
+// `Graph` it prefetches the slice's first line, on `BlockedGraph` it finds
+// the slice through the block cache without a lock, a count or I/O. Kernels
+// make it for an upcoming vertex on either backend.
+//
+// `is_resident` distinguishes the two at compile time where the code must
+// differ: kernels that read the CSR arrays directly, and algorithms whose
+// recursion or access pattern is bound to resident memory (dfs, hcs).
 #pragma once
 
 #include <concepts>
@@ -51,10 +56,12 @@ concept GraphStorage = requires(const GS& g, VertexId v) {
   { g.num_arcs() } -> std::convertible_to<EdgeId>;
   { g.degree(v) } -> std::convertible_to<EdgeId>;
   { g.neighbors(v).size() } -> std::convertible_to<std::size_t>;
+  g.prefetch_neighbors(v);
 };
 
-/// True when neighbour access is a pure pointer computation (no I/O, no
-/// pinning) — the licence for prefetch hints and repeated cheap calls.
+/// True when neighbour access is a pure pointer computation over arrays in
+/// memory (no I/O, no pinning) — the licence to read the CSR arrays
+/// directly and to make repeated cheap neighbors() calls.
 template <typename GS>
 struct is_resident : std::false_type {};
 

@@ -697,6 +697,129 @@ TEST(BlockedGraph, HitsPlusMissesCountEveryBlockRead) {
   }
 }
 
+// The traversal hints (prefetch_neighbors, prefetch_offsets) are lookups
+// only. bfs_spanning_tree makes them before every dequeue; a FIFO BFS with
+// no hints, over a fresh cache, makes the same neighbors() calls in the same
+// order. On an evicting CLOCK cache a hint that counted a hit, set a
+// reference bit (changing the victims) or loaded a block would show in the
+// counts.
+TEST(BlockedGraph, PrefetchHintsLeaveCacheStateUntouched) {
+  const Graph g = medium_graph(23);
+  const std::string path = csr_path_for(g, "hint_state");
+  BlockCacheOptions opts;
+  opts.block_bytes = 256;
+  opts.budget_bytes = 8 * 256;
+  opts.shards = 3;
+
+  const BlockedGraph bg(path, opts);
+  const SpanningForest hinted = bfs_spanning_tree(bg);
+
+  const BlockedGraph bg2(path, opts);
+  const VertexId n = bg2.num_vertices();
+  std::vector<VertexId> parent(n, kInvalidVertex);
+  std::vector<VertexId> fifo;
+  fifo.reserve(n);
+  for (VertexId s = 0; s < n; ++s) {
+    if (parent[s] != kInvalidVertex) continue;
+    parent[s] = s;
+    fifo.push_back(s);
+    for (std::size_t head = fifo.size() - 1; head < fifo.size(); ++head) {
+      const VertexId v = fifo[head];
+      for (const VertexId w : bg2.neighbors(v)) {
+        if (parent[w] == kInvalidVertex) {
+          parent[w] = v;
+          fifo.push_back(w);
+        }
+      }
+    }
+  }
+
+  EXPECT_EQ(hinted.parent, parent);
+  const auto with_hints = bg.cache_stats();
+  const auto without = bg2.cache_stats();
+  EXPECT_GT(without.evictions, 0u);
+  EXPECT_EQ(with_hints.hits, without.hits);
+  EXPECT_EQ(with_hints.misses, without.misses);
+  EXPECT_EQ(with_hints.evictions, without.evictions);
+}
+
+// Hints race readers that evict constantly (two frames per shard): a hint
+// may find a frame mid-reassignment or peek a stale offset, and must still
+// touch only memory of the cache. A hint-only phase then changes no count.
+TEST(BlockedGraph, PrefetchHintsRaceConstantEvictionSafely) {
+  const Graph g = medium_graph(29);
+  const std::string path = csr_path_for(g, "hint_race");
+  BlockCacheOptions opts;
+  opts.block_bytes = 256;
+  opts.budget_bytes = 1;  // floors at two frames per shard
+  opts.shards = 2;
+  const BlockedGraph bg(path, opts);
+  const VertexId n = g.num_vertices();
+
+  const auto hint_all = [&](std::uint64_t seed,
+                            const std::atomic<bool>& stop) {
+    std::vector<VertexId> order(n);
+    for (VertexId v = 0; v < n; ++v) order[v] = v;
+    Xoshiro256 rng(seed);
+    do {
+      for (VertexId i = n; i > 1; --i) {
+        std::swap(order[i - 1],
+                  order[static_cast<VertexId>(rng.next_bounded(i))]);
+      }
+      for (const VertexId v : order) {
+        bg.prefetch_neighbors(v);
+        bg.prefetch_offsets(v);
+      }
+    } while (!stop.load(std::memory_order_relaxed));
+  };
+
+  std::atomic<bool> readers_done{false};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back(hint_all, 0x41 + static_cast<std::uint64_t>(t),
+                         std::cref(readers_done));
+  }
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      Xoshiro256 rng(0x7eed + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < 4000; ++i) {
+        const auto v = static_cast<VertexId>(rng.next_bounded(n));
+        const auto want = g.neighbors(v);
+        const EdgeId degree = bg.degree(v);
+        const NeighborSpan got = bg.neighbors(v);
+        if (degree != g.degree(v) ||
+            !std::equal(got.begin(), got.end(), want.begin(), want.end())) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& r : readers) r.join();
+  readers_done.store(true, std::memory_order_relaxed);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto before = bg.cache_stats();
+  EXPECT_GT(before.evictions, 0u);
+
+  const std::uint64_t retries = bg.cache_read_retries();
+  const std::atomic<bool> once{true};
+  std::vector<std::thread> hinters;
+  for (int t = 0; t < 2; ++t) {
+    hinters.emplace_back(hint_all, 0x51 + static_cast<std::uint64_t>(t),
+                         std::cref(once));
+  }
+  for (auto& h : hinters) h.join();
+  const auto after = bg.cache_stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.read_errors, before.read_errors);
+  EXPECT_EQ(after.pin_refusals, before.pin_refusals);
+  EXPECT_EQ(bg.cache_read_retries(), retries);
+}
+
 // Determinism contract: at p=1 every kernel with a blocked instantiation is
 // deterministic, so the blocked backend must produce the exact forest the
 // in-memory backend does on the same seed — not merely a valid one.
